@@ -1,6 +1,6 @@
 //! Metric names, units and the result line.
 
-use crate::stats::{median, p75, percentile, tail, Tally};
+use crate::stats::{fastest, median, percentile, tail, Tally};
 use crate::trace::{durations_us, self_seconds_per_trace, Span};
 use rrb::json::Json;
 use std::collections::BTreeMap;
@@ -13,7 +13,7 @@ pub const END_TO_END: [(&str, &str); 5] = [
     ("peak_rss_mb", "MB"),
     ("rate_per_s", "1/s"),
     ("rate2_per_s", "1/s"),
-    ("p75_ms", "ms"),
+    ("min_ms", "ms"),
 ];
 
 /// The per-layer metrics every traced run prints, in order.
@@ -102,24 +102,24 @@ impl Report {
     }
 
     /// Records the end-to-end values shared by every workload: `rate`
-    /// and `rate2` per second and the gated latency `p75_s`.
-    pub fn end_to_end(&mut self, setup_s: f64, rate: f64, rate2: f64, p75_s: f64) {
+    /// and `rate2` per second and the gated latency `min_s`.
+    pub fn end_to_end(&mut self, setup_s: f64, rate: f64, rate2: f64, min_s: f64) {
         for (name, value) in [
             ("setup_s", setup_s),
             ("rate_per_s", rate),
             ("rate2_per_s", rate2),
-            ("p75_ms", p75_s * 1e3),
+            ("min_ms", min_s * 1e3),
         ] {
             self.end_to_end.insert(name, value);
         }
     }
 
-    /// Prints the median, the 75th percentile and the tail (by the
+    /// Prints the fastest sample, the median and the tail (by the
     /// [`tail`] rule) of `samples_s` as `<name>_p<N>_ms`.
     pub fn latency_summary(&mut self, name: &str, samples_s: &[f64]) {
         let (pct, tail_s) = tail(samples_s);
+        self.named(format!("{name}_min_ms"), fastest(samples_s) * 1e3, "ms");
         self.named(format!("{name}_p50_ms"), median(samples_s) * 1e3, "ms");
-        self.named(format!("{name}_p75_ms"), p75(samples_s) * 1e3, "ms");
         self.named(format!("{name}_p{pct}_ms (n={})", samples_s.len()), tail_s * 1e3, "ms");
     }
 

@@ -26,13 +26,17 @@ pub fn percentile(values: &[f64], pct: u32) -> f64 {
     sorted[nearest_rank(sorted.len(), pct) - 1]
 }
 
-/// The 75th percentile: what every gated time and rate is taken at.
-/// Host contention on a shared machine slows a varying share of the
-/// passes of a run; the median moves with that share, while three
-/// passes in four finishing within the slow level is a far steadier
-/// figure from run to run.
-pub fn p75(values: &[f64]) -> f64 {
-    percentile(values, 75)
+/// The fastest sample: what every gated time and rate is taken at.
+/// Host contention on a shared machine switches every few seconds
+/// between a fast and a slow level up to twice as slow, the share of
+/// samples at each level differs from run to run, and for minutes at a
+/// time the host can be calm or loaded throughout. Every percentile
+/// above the lowest moves with that share and with the host's load;
+/// the fastest sample is the time the program needs when the host
+/// leaves it alone, which is what a change to the program moves.
+/// `0.0` for an empty slice.
+pub fn fastest(values: &[f64]) -> f64 {
+    values.iter().copied().reduce(f64::min).unwrap_or(0.0)
 }
 
 /// The 1-based nearest rank of percentile `pct` among `n` samples.

@@ -2,10 +2,10 @@
 //! and `verify_spec` (automatic horizon) — on every cell of both specs.
 //! Nothing is simulated or stored.
 
-use super::{repeated_setup, timed_loop, Config};
+use super::{measured_loop, Config};
 use crate::inputs::Inputs;
 use crate::report::Report;
-use crate::stats::p75;
+use crate::stats::fastest;
 use crate::trace::Tracer;
 use rrb::spec::ExperimentSpec;
 use rrb::statics::VerifyOptions;
@@ -64,39 +64,44 @@ fn pass(inputs: &Inputs, tracer: &mut Tracer) -> BoundsPass {
 /// Runs the workload.
 pub fn run(cfg: &Config, tracer: &mut Tracer) -> Report {
     let mut report = Report::default();
-    let (setup_s, (inputs, reference)) = repeated_setup(|_| {
-        let inputs = Inputs::generate(cfg.seed);
-        let warm = pass(&inputs, &mut Tracer::new(false));
-        (inputs, warm.rendered)
-    });
     let mut passes = Vec::new();
     let mut analyze = Vec::new();
     let mut cells = 0;
-    let overhead = timed_loop(cfg, tracer, |tracer| {
-        let traced = tracer.enabled();
-        let start = Instant::now();
-        let out = pass(&inputs, tracer);
-        let t = start.elapsed().as_secs_f64();
-        cells = out.cells;
-        let mut problems = out.problems;
-        if out.rendered != reference {
-            problems.push(String::from("bounds differ from the set-up pass"));
-        }
-        report.pass(out.cells, out.unsound, problems);
-        if traced {
-            report.layers.insert("static.cells", out.cells as f64);
-            report.layers.insert("static.explored", out.explored as f64);
-            report.layers.insert("static.pruned", out.pruned as f64);
-        } else {
-            passes.push(t);
-            analyze.push(out.analyze_s);
-        }
-        t
-    });
-    report.layers.insert("trace.overhead", overhead);
+    let run = measured_loop(
+        cfg,
+        tracer,
+        &mut report,
+        |_, _| {
+            let inputs = Inputs::generate(cfg.seed);
+            let warm = pass(&inputs, &mut Tracer::new(false));
+            (inputs, warm.rendered)
+        },
+        |(inputs, reference), tracer, report| {
+            let traced = tracer.enabled();
+            let start = Instant::now();
+            let out = pass(inputs, tracer);
+            let t = start.elapsed().as_secs_f64();
+            cells = out.cells;
+            let mut problems = out.problems;
+            if out.rendered != *reference {
+                problems.push(String::from("bounds differ from the set-up pass"));
+            }
+            report.pass(out.cells, out.unsound, problems);
+            if traced {
+                report.layers.insert("static.cells", out.cells as f64);
+                report.layers.insert("static.explored", out.explored as f64);
+                report.layers.insert("static.pruned", out.pruned as f64);
+            } else {
+                passes.push(t);
+                analyze.push(out.analyze_s);
+            }
+            t
+        },
+    );
+    report.layers.insert("trace.overhead", run.overhead);
     let cells = cells as f64;
-    let (pass, analyze) = (p75(&passes), p75(&analyze));
-    report.end_to_end(setup_s, cells / pass, cells / analyze, pass);
+    let (pass, analyze) = (fastest(&passes), fastest(&analyze));
+    report.end_to_end(run.setup_s, cells / pass, cells / analyze, pass);
     report.named("cells_per_s", cells / pass, "1/s");
     report.named("analyze_cells_per_s", cells / analyze, "1/s");
     report.latency_summary("pass", &passes);

@@ -2,11 +2,13 @@
 //!
 //! Every workload is a closed loop driven from one thread: the next
 //! unit of work starts only when the previous one has finished. A run
-//! first sets up [`SETUP_REPS`] times (reporting the median as
-//! `setup_s`), then repeats its unit of work until `--seconds` have
-//! passed. With `--trace 1` it alternates untraced and traced units:
-//! the untraced ones give the reference for `trace.overhead`, the
-//! traced ones record the spans the per-layer metrics come from.
+//! sets up once, then repeats its unit of work until `--seconds` have
+//! passed, setting up again between units until it has set up
+//! [`SETUP_REPS`] times, spread evenly over the run; the median set-up
+//! time is `setup_s`. With `--trace 1` it alternates untraced and
+//! traced units: the untraced ones give the reference for
+//! `trace.overhead`, the traced ones record the spans the per-layer
+//! metrics come from.
 
 pub mod bounds;
 pub mod serve;
@@ -33,7 +35,11 @@ pub const WORKLOADS: [(&str, Workload); 4] = [
 ];
 
 /// How often set-up runs in one process; its median is `setup_s`.
-pub const SETUP_REPS: usize = 5;
+/// Set-ups run back to back covered a second or two of a host whose
+/// speed changes every few seconds, so a run's median landed on the
+/// fast or the slow level as a whole; spread over the run, it follows
+/// the share of each.
+pub const SETUP_REPS: usize = 9;
 
 /// Fewest units of each kind (untraced, traced) a run measures, however
 /// long they take.
@@ -83,43 +89,57 @@ pub fn traced_replay(runs: &[RunSpec], tracer: &mut Tracer, report: &mut Report)
     report.pass(runs.len() as u64, counts.errors, problems);
 }
 
-/// Runs `setup` [`SETUP_REPS`] times and returns the median wall time
-/// with the last state (earlier states are dropped as soon as the next
-/// one is ready).
-pub fn repeated_setup<S>(mut setup: impl FnMut(usize) -> S) -> (f64, S) {
-    let mut times = Vec::with_capacity(SETUP_REPS);
-    let mut state = None;
-    for rep in 0..SETUP_REPS {
-        let start = Instant::now();
-        let next = setup(rep);
-        times.push(start.elapsed().as_secs_f64());
-        state = Some(next);
-    }
-    (median(&times), state.expect("SETUP_REPS is at least 1"))
+/// What [`measured_loop`] measured.
+pub struct Measured<S> {
+    /// Median set-up wall time.
+    pub setup_s: f64,
+    /// The first set-up's state, which every unit ran on.
+    pub state: S,
+    /// Traced over untraced median unit time, minus one; 0 when untraced.
+    pub overhead: f64,
 }
 
-/// Repeats `unit` until `cfg.seconds` have passed and both kinds of unit
-/// ran at least [`MIN_UNITS`] times. `unit` returns its own comparable
+/// Sets up, then repeats `unit` until `cfg.seconds` have passed and both
+/// kinds of unit ran at least [`MIN_UNITS`] times. Between units it sets
+/// up again, dropping the new state, until [`SETUP_REPS`] set-ups have
+/// run at even intervals over the run. `unit` returns its own comparable
 /// wall time; the tracer is enabled, with a fresh trace id, for every
-/// other unit when tracing. Returns the `trace.overhead` ratio (traced
-/// over untraced median unit time, minus one; 0 when untraced).
-pub fn timed_loop(
+/// other unit when tracing.
+pub fn measured_loop<S>(
     cfg: &Config,
     tracer: &mut Tracer,
-    mut unit: impl FnMut(&mut Tracer) -> f64,
-) -> f64 {
+    report: &mut Report,
+    mut setup: impl FnMut(usize, &mut Report) -> S,
+    mut unit: impl FnMut(&S, &mut Tracer, &mut Report) -> f64,
+) -> Measured<S> {
+    let mut setups = Vec::with_capacity(SETUP_REPS);
+    let mut timed_setup = |setups: &mut Vec<f64>, report: &mut Report| {
+        let start = Instant::now();
+        let state = setup(setups.len(), report);
+        setups.push(start.elapsed().as_secs_f64());
+        state
+    };
+    let state = timed_setup(&mut setups, report);
     let start = Instant::now();
     let mut untraced = Vec::new();
     let mut traced = Vec::new();
     loop {
+        let elapsed = start.elapsed().as_secs_f64();
+        if setups.len() < SETUP_REPS
+            && elapsed * SETUP_REPS as f64 >= cfg.seconds * setups.len() as f64
+        {
+            drop(timed_setup(&mut setups, report));
+            continue;
+        }
         let trace_this = cfg.trace && untraced.len() > traced.len();
         tracer.set_enabled(trace_this);
         if trace_this {
             tracer.next_trace();
         }
         let pass = tracer.enter("pass");
-        let t = unit(tracer);
+        let t = unit(&state, tracer, report);
         tracer.exit(pass);
+        tracer.set_enabled(false);
         if trace_this {
             traced.push(t)
         } else {
@@ -130,10 +150,9 @@ pub fn timed_loop(
             break;
         }
     }
-    tracer.set_enabled(false);
-    if cfg.trace {
-        median(&traced) / median(&untraced) - 1.0
-    } else {
-        0.0
+    while setups.len() < SETUP_REPS {
+        drop(timed_setup(&mut setups, report));
     }
+    let overhead = if cfg.trace { median(&traced) / median(&untraced) - 1.0 } else { 0.0 };
+    Measured { setup_s: median(&setups), state, overhead }
 }

@@ -6,12 +6,12 @@
 //! The workload is not in `BENCHMARK.json` (its run-to-run spread on a
 //! shared two-vCPU host exceeds any allowed bound; see the README), but
 //! [`probe_store`] measures the same serve layer in traced
-//! `store_roundtrip` cycles.
+//! `store_roundtrip` units.
 
-use super::{repeated_setup, timed_loop, Config};
+use super::{measured_loop, Config};
 use crate::inputs::{Inputs, Rng};
 use crate::report::Report;
-use crate::stats::{median, p75};
+use crate::stats::{fastest, median};
 use crate::trace::Tracer;
 use rrb::json::Json;
 use rrb::store::ResultStore;
@@ -255,7 +255,7 @@ impl ServeTally {
 
 /// Measures the serve layer once over the warm store at `dir`: a daemon,
 /// one pass and the traced extras. `store_roundtrip` runs this after
-/// each traced cycle, so the serve layer is measured in a workload the
+/// each traced unit, so the serve layer is measured in a workload the
 /// benchmark drives.
 pub fn probe_store(
     dir: &Path,
@@ -278,47 +278,56 @@ pub fn probe_store(
 /// Runs the workload.
 pub fn run(cfg: &Config, tracer: &mut Tracer) -> Report {
     let mut report = Report::default();
-    let (setup_s, seeded) = repeated_setup(|rep| {
-        let inputs = Inputs::generate(cfg.seed);
-        seed_daemon(&cfg.work_dir.join(format!("serve-{rep}")), &inputs.ngmp, cfg.seed)
-    });
-    let s = match seeded {
-        Ok(s) => s,
-        Err(e) => {
-            report.pass(1, 1, vec![format!("set-up failed: {e}")]);
-            return report;
-        }
-    };
     let mut tally = ServeTally::default();
     let mut streams = Vec::new();
     let mut queries = Vec::new();
     let mut query_passes = Vec::new();
-    let overhead = timed_loop(cfg, tracer, |tracer| {
-        let (stream_s, latencies) = pass(&s, tracer, &mut report, &mut tally);
-        let query_pass_s = latencies.iter().sum::<f64>();
-        if tracer.enabled() {
-            probe(&s, tracer, &mut report, &mut tally);
-            for hash in &s.hashes {
-                let found = u64::from_str_radix(hash, 16)
-                    .ok()
-                    .map(|h| tracer.span("store.payload", || s.daemon.store.entry_payload(h)));
-                if !matches!(found, Some(Ok(Some(_)))) {
-                    report.pass(1, 1, vec![format!("no stored payload for {hash}")]);
-                }
+    let run = measured_loop(
+        cfg,
+        tracer,
+        &mut report,
+        |rep, report| {
+            let inputs = Inputs::generate(cfg.seed);
+            let dir = cfg.work_dir.join(format!("serve-{rep}"));
+            let seeded = seed_daemon(&dir, &inputs.ngmp, cfg.seed);
+            if let Err(e) = &seeded {
+                report.pass(1, 1, vec![format!("set-up failed: {e}")]);
             }
-        } else {
-            streams.push(stream_s);
-            queries.extend_from_slice(&latencies);
-            query_passes.push(query_pass_s);
-        }
-        stream_s + query_pass_s
-    });
+            seeded.ok()
+        },
+        |s, tracer, report| {
+            let Some(s) = s else {
+                return 0.0;
+            };
+            let (stream_s, latencies) = pass(s, tracer, report, &mut tally);
+            let query_pass_s = latencies.iter().sum::<f64>();
+            if tracer.enabled() {
+                probe(s, tracer, report, &mut tally);
+                for hash in &s.hashes {
+                    let found = u64::from_str_radix(hash, 16)
+                        .ok()
+                        .map(|h| tracer.span("store.payload", || s.daemon.store.entry_payload(h)));
+                    if !matches!(found, Some(Ok(Some(_)))) {
+                        report.pass(1, 1, vec![format!("no stored payload for {hash}")]);
+                    }
+                }
+            } else {
+                streams.push(stream_s);
+                queries.extend_from_slice(&latencies);
+                query_passes.push(query_pass_s);
+            }
+            stream_s + query_pass_s
+        },
+    );
+    let Some(s) = run.state else {
+        return report;
+    };
     let runs = s.hashes.len() as f64;
     stop(s, &mut report, &mut tally);
     tally.record(&mut report);
-    report.layers.insert("trace.overhead", overhead);
-    let (stream_s, query_pass_s) = (p75(&streams), p75(&query_passes));
-    report.end_to_end(setup_s, runs / stream_s, runs / query_pass_s, p75(&queries));
+    report.layers.insert("trace.overhead", run.overhead);
+    let (stream_s, query_pass_s) = (fastest(&streams), fastest(&query_passes));
+    report.end_to_end(run.setup_s, runs / stream_s, runs / query_pass_s, fastest(&queries));
     report.named("stream_s", stream_s, "s");
     report.named("queries_per_s", runs / query_pass_s, "1/s");
     report.latency_summary("query", &queries);

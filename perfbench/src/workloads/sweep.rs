@@ -2,11 +2,11 @@
 //! job and at `min(2, nproc)` jobs. The simulator and executor do
 //! nearly all the work; the store and the daemon do none.
 
-use super::{record_campaign, repeated_setup, timed_loop, traced_replay, Config};
+use super::{measured_loop, record_campaign, traced_replay, Config};
 use crate::inputs::Inputs;
 use crate::pipeline::{campaign_pass, unique_runs, PassOutput};
 use crate::report::Report;
-use crate::stats::p75;
+use crate::stats::fastest;
 use crate::trace::Tracer;
 use rrb::store::ResultStore;
 use std::time::Instant;
@@ -42,36 +42,41 @@ pub fn check_pass(out: &PassOutput, reference: &[String], what: &str) -> Vec<Str
 pub fn run(cfg: &Config, tracer: &mut Tracer) -> Report {
     let mut report = Report::default();
     let par = par_jobs();
-    let (setup_s, (inputs, reference)) = repeated_setup(|_| {
-        let inputs = Inputs::generate(cfg.seed);
-        let (_, warm) = timed_pass(&inputs, 1, None, &mut Tracer::new(false));
-        (inputs, warm.json)
-    });
-    let replay_runs = if cfg.trace { unique_runs(&inputs) } else { Vec::new() };
+    let replay_runs = if cfg.trace { unique_runs(&Inputs::generate(cfg.seed)) } else { Vec::new() };
     let mut serial = Vec::new();
     let mut parallel = Vec::new();
     let mut unique = 0;
-    let overhead = timed_loop(cfg, tracer, |tracer| {
-        let traced = tracer.enabled();
-        let (t1, out1) = timed_pass(&inputs, 1, None, tracer);
-        let (t2, out2) = timed_pass(&inputs, par, None, tracer);
-        unique = out1.unique;
-        for (out, what) in [(&out1, "jobs 1"), (&out2, "parallel jobs")] {
-            report.pass(out.unique, out.errors, check_pass(out, &reference, what));
-        }
-        if traced {
-            record_campaign(&mut report, &out1);
-            traced_replay(&replay_runs, tracer, &mut report);
-        } else {
-            serial.push(t1);
-            parallel.push(t2);
-        }
-        t1 + t2
-    });
-    report.layers.insert("trace.overhead", overhead);
+    let run = measured_loop(
+        cfg,
+        tracer,
+        &mut report,
+        |_, _| {
+            let inputs = Inputs::generate(cfg.seed);
+            let (_, warm) = timed_pass(&inputs, 1, None, &mut Tracer::new(false));
+            (inputs, warm.json)
+        },
+        |(inputs, reference), tracer, report| {
+            let traced = tracer.enabled();
+            let (t1, out1) = timed_pass(inputs, 1, None, tracer);
+            let (t2, out2) = timed_pass(inputs, par, None, tracer);
+            unique = out1.unique;
+            for (out, what) in [(&out1, "jobs 1"), (&out2, "parallel jobs")] {
+                report.pass(out.unique, out.errors, check_pass(out, reference, what));
+            }
+            if traced {
+                record_campaign(report, &out1);
+                traced_replay(&replay_runs, tracer, report);
+            } else {
+                serial.push(t1);
+                parallel.push(t2);
+            }
+            t1 + t2
+        },
+    );
+    report.layers.insert("trace.overhead", run.overhead);
     let runs = unique as f64;
-    let (p1, p2) = (p75(&serial), p75(&parallel));
-    report.end_to_end(setup_s, runs / p1, runs / p2, p1);
+    let (p1, p2) = (fastest(&serial), fastest(&parallel));
+    report.end_to_end(run.setup_s, runs / p1, runs / p2, p1);
     report.named("runs_per_s", runs / p1, "1/s");
     report.named(format!("runs_per_s_par (jobs {par})"), runs / p2, "1/s");
     report.latency_summary("pass", &serial);

@@ -5,7 +5,7 @@
 //! cargo test --manifest-path perfbench/Cargo.toml
 //! ```
 
-use rrb_perfbench::stats::{median, percentile, tail, tail_percentile, Tally};
+use rrb_perfbench::stats::{fastest, median, percentile, tail, tail_percentile, Tally};
 use rrb_perfbench::trace::{self_seconds_per_trace, self_time_ns, self_times_ns, Span, Tracer};
 
 fn span(id: u64, parent: Option<u64>, start_ns: u64, end_ns: u64) -> Span {
@@ -124,4 +124,10 @@ fn failed_share_counts_errors_and_whole_failed_passes() {
     let mut over = Tally::default();
     over.pass(2, 5, true);
     assert_eq!(over.failed_share(), 1.0);
+}
+
+#[test]
+fn fastest_is_the_smallest_sample() {
+    assert_eq!(fastest(&[0.3, 0.1, 0.2]), 0.1);
+    assert_eq!(fastest(&[]), 0.0);
 }
