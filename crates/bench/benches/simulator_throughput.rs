@@ -2,6 +2,8 @@
 //! for the workload shapes the experiments rely on (std-only harness;
 //! `harness = false`).
 
+use rrb::campaign::RunSpec;
+use rrb::executor::Executor;
 use rrb_bench::bench;
 use rrb_kernels::{random_eembc_workload, rsk, rsk_nop, AccessKind};
 use rrb_sim::{CoreId, Machine, MachineConfig};
@@ -23,13 +25,14 @@ fn main() {
 
     // One (isolated, contended) measurement pair — the methodology's
     // inner loop.
-    bench("measure_slowdown_k2", 2, 10, || {
+    bench("slowdown_pair_k2", 2, 10, || {
         let cfg = MachineConfig::ngmp_ref();
         let scua = rsk_nop(AccessKind::Load, 2, &cfg, CoreId::new(0), 100);
-        std::hint::black_box(
-            rrb::experiment::measure_slowdown(&cfg, scua, |core| rsk(AccessKind::Load, &cfg, core))
-                .expect("measurement"),
-        );
+        let pair = [
+            RunSpec::isolated("isolated", cfg.clone(), scua.clone()),
+            RunSpec::contended_rsk("contended", cfg, scua, AccessKind::Load),
+        ];
+        std::hint::black_box(Executor::new().execute(&pair));
     });
 
     bench("eembc_workload_100_iters", 2, 10, || {

@@ -2,11 +2,10 @@
 //! behind one [`Executor`].
 //!
 //! Every measurement in this crate is a [`RunSpec`] — one machine, one
-//! workload — and until the `Executor` redesign five free functions
-//! (`execute_run`, `execute_run_stored`, `execute_plan`,
-//! `execute_plan_stored`, `execute_plan_deduped`) each re-implemented a
-//! slice of the same pipeline. They survive as deprecated wrappers; the
-//! single execution path now lives here:
+//! workload — and every `RunSpec` executes here, whether it comes from a
+//! [`Campaign`](crate::campaign::Campaign), a serial convenience
+//! function such as [`derive_ubd`](crate::methodology::derive_ubd), or
+//! the `rrb-serve` worker pool:
 //!
 //! ```
 //! use rrb::campaign::RunSpec;
@@ -50,7 +49,8 @@
 //!
 //! [`RequestRecord`]: rrb_sim::RequestRecord
 
-use crate::campaign::{DedupTable, RunError, RunMeasurement, RunSource, RunSpec, StoreUsage};
+use crate::campaign::{RunError, RunMeasurement, RunSource, RunSpec, StoreUsage};
+use crate::scenario::RunOutcome;
 use crate::store::{ResultStore, StoreLookup};
 use rrb_analysis::Histogram;
 use rrb_sim::{CoreId, Machine, MachineConfig};
@@ -179,16 +179,15 @@ fn execution_config(cfg: &MachineConfig) -> MachineConfig {
 /// The unified batch executor: plans in, plan-ordered results out.
 ///
 /// Builder options select the worker-thread count ([`Executor::jobs`]),
-/// structural run deduplication ([`Executor::dedup`]), machine reuse
-/// ([`Executor::arena`]) and a persistent result store
+/// machine reuse ([`Executor::arena`]) and a persistent result store
 /// ([`Executor::store`]). Whatever the options, the returned results
 /// are **indexed by plan position** and byte-identical: scheduling,
 /// caching and reuse can change how fast the answer arrives, never what
-/// it is.
+/// it is. The executor runs every spec it is given; deduplicating a
+/// plan is [`Campaign::plan`](crate::campaign::Campaign::plan)'s job.
 #[derive(Clone)]
 pub struct Executor {
     jobs: usize,
-    dedup: bool,
     arena: bool,
     store: Option<Arc<ResultStore>>,
 }
@@ -200,10 +199,9 @@ impl Default for Executor {
 }
 
 impl Executor {
-    /// A serial executor: one job, no deduplication, arena reuse on, no
-    /// persistent store.
+    /// A serial executor: one job, arena reuse on, no persistent store.
     pub fn new() -> Self {
-        Executor { jobs: 1, dedup: false, arena: true, store: None }
+        Executor { jobs: 1, arena: true, store: None }
     }
 
     /// Sets the worker-thread count (1 = serial; clamped to the plan
@@ -211,16 +209,6 @@ impl Executor {
     #[must_use]
     pub fn jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs.max(1);
-        self
-    }
-
-    /// Enables structural deduplication: each distinct (configuration,
-    /// workload) pair executes once, its result scattered back to every
-    /// plan position that asked for it. Labels are ignored, exactly as
-    /// in a [`Campaign`](crate::campaign::Campaign).
-    #[must_use]
-    pub fn dedup(mut self, dedup: bool) -> Self {
-        self.dedup = dedup;
         self
     }
 
@@ -281,36 +269,24 @@ impl Executor {
         self.execute_with(specs, self.store.as_deref())
     }
 
-    /// [`Executor::execute`] with the store supplied per call instead of
-    /// owned — for callers holding only a reference (the deprecated
-    /// free functions route through this).
-    pub fn execute_with(
-        &self,
-        specs: &[RunSpec],
-        store: Option<&ResultStore>,
-    ) -> (Vec<Result<RunMeasurement, RunError>>, StoreUsage) {
-        if !self.dedup {
-            return self.execute_unique(specs, store);
-        }
-        let mut unique: Vec<RunSpec> = Vec::new();
-        let mut seen = DedupTable::default();
-        let indices: Vec<usize> = specs.iter().map(|spec| seen.intern(spec, &mut unique)).collect();
-        let (results, usage) = self.execute_unique(&unique, store);
-        let scattered = indices
-            .into_iter()
-            .map(|idx| {
-                results.get(idx).cloned().unwrap_or_else(|| {
-                    Err(RunError::Analysis(String::from("deduplicated result missing")))
-                })
-            })
-            .collect();
-        (scattered, usage)
+    /// Executes a plan like [`Executor::execute`] and pairs each result
+    /// with its spec's label: the plan-ordered [`RunOutcome`]s that
+    /// [`Scenario::analyze`](crate::scenario::Scenario::analyze) takes.
+    /// Store usage is dropped.
+    pub fn outcomes(&self, specs: &[RunSpec]) -> Vec<RunOutcome> {
+        let (results, _usage) = self.execute(specs);
+        specs
+            .iter()
+            .zip(results)
+            .map(|(spec, result)| RunOutcome { label: spec.label.clone(), result })
+            .collect()
     }
 
-    /// The execution core: spreads `specs` over the worker threads, one
-    /// arena per worker, and aggregates store usage in plan order
-    /// (independent of worker scheduling).
-    fn execute_unique(
+    /// [`Executor::execute`] with the store supplied per call instead of
+    /// owned, for callers holding only a reference. Spreads `specs` over
+    /// the worker threads, one arena per worker, and aggregates store
+    /// usage in plan order (independent of worker scheduling).
+    pub fn execute_with(
         &self,
         specs: &[RunSpec],
         store: Option<&ResultStore>,
@@ -435,19 +411,6 @@ mod tests {
         let serial = Executor::new().execute(&specs).0;
         let parallel = Executor::new().jobs(4).execute(&specs).0;
         assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn dedup_scatters_shared_results() {
-        let cfg = toy();
-        let scua = rsk_nop(AccessKind::Load, 1, &cfg, CoreId::new(0), 40);
-        let a = RunSpec::isolated("a", cfg.clone(), scua.clone());
-        let b = RunSpec::isolated("b", cfg, scua);
-        let specs = vec![a.clone(), b, a.clone(), a];
-        let deduped = Executor::new().dedup(true).execute(&specs).0;
-        let plain = Executor::new().execute(&specs).0;
-        assert_eq!(deduped, plain);
-        assert_eq!(deduped.len(), 4);
     }
 
     #[test]

@@ -25,8 +25,9 @@
 //!   grids, deduplicates shared runs, executes across a scoped thread
 //!   pool, and serialises structured records as JSON/CSV ([`json`]) —
 //!   with output bit-identical between serial and parallel execution;
-//! * the shared single-run harness ([`experiment`]) behind the
-//!   scenarios, and plain-text reporting ([`report`]) used by the figure
+//! * the single execution path ([`executor`]) behind every scenario and
+//!   campaign: one [`Executor`] runs each [`RunSpec`] on a warm, reset
+//!   machine, and plain-text reporting ([`report`]) serves the figure
 //!   regenerators;
 //! * **experiments as data** ([`spec`]): an [`ExperimentSpec`] is a
 //!   fully declarative, JSON-serialisable description of a campaign —
@@ -96,7 +97,6 @@
 pub mod analyze;
 pub mod campaign;
 pub mod executor;
-pub mod experiment;
 pub mod json;
 pub mod lint;
 pub mod mbta;
@@ -122,24 +122,20 @@ pub use analyze::{
     analyze_grid, analyze_grid_cell, analyze_spec, analyze_workload, check_measured,
     measured_tightness, CellStaticBound, CellTightness,
 };
-#[allow(deprecated)]
 pub use campaign::{
-    clamped_jobs, execute_plan, execute_plan_stored, execute_run, execute_run_stored, Campaign,
-    CampaignBuilder, CampaignGrid, CampaignPlan, CampaignResult, CampaignStats, GridCell,
-    GridScenario, ParseGridScenarioError, PlannedScenario, RunError, RunMeasurement, RunRecord,
-    RunSource, RunSpec, StoreUsage,
+    clamped_jobs, Campaign, CampaignBuilder, CampaignGrid, CampaignPlan, CampaignResult,
+    CampaignStats, GridCell, GridScenario, ParseGridScenarioError, PlannedScenario, RunError,
+    RunMeasurement, RunRecord, RunSource, RunSpec, StoreUsage,
 };
 pub use executor::{Executor, MachineArena, StoredOutcome};
-pub use experiment::{ContendedRun, IsolatedRun, SlowdownMeasurement};
 pub use json::{fnv1a_64, Fnv64Hasher, Json, JsonParseError};
 pub use lint::{has_errors, lint_spec, LintFinding, LintSeverity};
 pub use mbta::{BoundValidation, MbtaAnalysis, TaskBound, TaskSpec};
 pub use methodology::{
-    derive_ubd, derive_ubd_repeated, derive_ubd_repeated_jobs, store_tooth_check,
-    MethodologyConfig, MethodologyError, RepeatedDerivation, ResourceContribution, StoreToothCheck,
-    UbdDerivation, UbdScenario,
+    derive_ubd, derive_ubd_repeated, store_tooth_check, MethodologyConfig, MethodologyError,
+    RepeatedDerivation, ResourceContribution, StoreToothCheck, UbdDerivation, UbdScenario,
 };
-pub use naive::{naive_rsk_vs_rsk, naive_scua_vs_rsk, NaiveEstimate, NaiveScenario};
+pub use naive::{naive_rsk_vs_rsk, NaiveEstimate, NaiveScenario};
 pub use scenario::{
     Metric, MetricValue, RunOutcome, Scenario, ScenarioError, ScenarioReport, SweepScenario,
 };
@@ -150,10 +146,80 @@ pub use store::{
     sim_fingerprint, write_file_atomic, GcReport, ResultStore, StoreError, StoreLookup, StoreStats,
     VerifyReport, STORE_FORMAT_VERSION,
 };
-pub use validation::{
-    validate_gamma_model, GammaComparison, GammaValidationScenario, ValidationReport,
-};
+pub use validation::{GammaComparison, GammaValidationScenario, ValidationReport};
 pub use verify::{
     render_verified, replay_cell_witnesses, replay_witness, verify_grid, verify_grid_cell,
     verify_spec, verify_workload, VerifiedCell, WitnessReplay,
 };
+
+/// Harness-level checks of the §3 isolated/contended experiment on the
+/// reference bus, each run through [`Executor::run`].
+#[cfg(test)]
+mod experiment {
+    #[cfg(test)]
+    mod tests {
+        use crate::{Executor, RunMeasurement, RunSpec};
+        use rrb_kernels::{rsk_nop, AccessKind};
+        use rrb_sim::{CoreId, MachineConfig, Program};
+
+        fn scua(cfg: &MachineConfig, iterations: u64) -> Program {
+            rsk_nop(AccessKind::Load, 0, cfg, CoreId::new(0), iterations)
+        }
+
+        fn isolated(cfg: &MachineConfig, scua: &Program) -> RunMeasurement {
+            Executor::new().run(&RunSpec::isolated("i", cfg.clone(), scua.clone())).expect("run")
+        }
+
+        fn contended(cfg: &MachineConfig, scua: &Program) -> RunMeasurement {
+            let spec = RunSpec::contended_rsk("c", cfg.clone(), scua.clone(), AccessKind::Load);
+            Executor::new().run(&spec).expect("run")
+        }
+
+        #[test]
+        fn isolated_run_reports_requests() {
+            let cfg = MachineConfig::ngmp_ref();
+            let r = isolated(&cfg, &scua(&cfg, 100));
+            assert!(r.execution_time > 0);
+            // 5 loads x 100 iterations plus a few cold ifetch/refill requests.
+            assert!(r.bus_requests >= 500);
+            assert_eq!(r.instructions, 500);
+            assert_eq!(r.max_gamma(), Some(0));
+        }
+
+        #[test]
+        fn contention_slows_the_scua_down() {
+            let cfg = MachineConfig::ngmp_ref();
+            let p = scua(&cfg, 200);
+            let iso = isolated(&cfg, &p);
+            let con = contended(&cfg, &p);
+            assert!(con.execution_time > iso.execution_time, "contenders must slow the scua down");
+            // Each request suffers γ = 26 on the ref architecture.
+            let det = con.execution_time - iso.execution_time;
+            let per_request = det as f64 / iso.bus_requests as f64;
+            assert!(
+                (20.0..=27.0).contains(&per_request),
+                "per-request contention {per_request} out of range"
+            );
+            assert!(con.bus_utilization > 0.95);
+        }
+
+        #[test]
+        fn gamma_histogram_shows_synchrony_mode() {
+            let cfg = MachineConfig::ngmp_ref();
+            let r = contended(&cfg, &scua(&cfg, 300));
+            assert_eq!(r.mode_gamma(), Some(26));
+            assert!(r.gamma_histogram.fraction(26) > 0.9);
+        }
+
+        #[test]
+        fn det_is_zero_without_contenders() {
+            let cfg = MachineConfig::ngmp_ref();
+            let p = scua(&cfg, 50);
+            let iso = isolated(&cfg, &p);
+            let idle = vec![Program::empty(); cfg.num_cores - 1];
+            let spec = RunSpec::contended("idle", cfg.clone(), p, idle);
+            let beside_idle = Executor::new().run(&spec).expect("run");
+            assert_eq!(beside_idle.execution_time, iso.execution_time);
+        }
+    }
+}

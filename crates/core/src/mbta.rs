@@ -15,11 +15,11 @@
 //! time exceeds its ETB — the regression a certification campaign would
 //! automate.
 
-use crate::campaign::RunError;
-use crate::experiment::{run_contended, run_isolated};
+use crate::campaign::{RunError, RunSpec};
+use crate::executor::Executor;
 use crate::methodology::{derive_ubd, MethodologyConfig, MethodologyError, UbdDerivation};
 use rrb_analysis::EtbPadding;
-use rrb_kernels::{rsk, AccessKind};
+use rrb_kernels::AccessKind;
 use rrb_sim::{MachineConfig, Program};
 use std::fmt;
 
@@ -159,7 +159,8 @@ impl MbtaAnalysis {
     ///
     /// Returns [`RunError`] if the isolation run fails.
     pub fn bound_task(&self, task: &TaskSpec) -> Result<TaskBound, RunError> {
-        let isolated = run_isolated(&self.cfg, task.program.clone())?;
+        let spec = RunSpec::isolated("isolated", self.cfg.clone(), task.program.clone());
+        let isolated = Executor::new().run(&spec)?;
         let padding = EtbPadding::new(isolated.bus_requests, self.pad_per_request());
         Ok(TaskBound {
             name: task.name.clone(),
@@ -191,14 +192,15 @@ impl MbtaAnalysis {
         bound: &TaskBound,
         trials: u32,
     ) -> Result<BoundValidation, RunError> {
+        let executor = Executor::new();
         let mut worst = 0u64;
         for trial in 0..trials {
             // Alternate contender access types across trials to explore
             // both the load and the store contention shapes.
             let access = if trial % 2 == 0 { AccessKind::Load } else { AccessKind::Store };
-            let contended =
-                run_contended(&self.cfg, task.program.clone(), |c| rsk(access, &self.cfg, c))?;
-            worst = worst.max(contended.execution_time);
+            let spec =
+                RunSpec::contended_rsk("contended", self.cfg.clone(), task.program.clone(), access);
+            worst = worst.max(executor.run(&spec)?.execution_time);
         }
         Ok(BoundValidation {
             name: bound.name.clone(),

@@ -10,18 +10,19 @@
 //! architecture, 23 on the variant — Fig. 6(b)).
 //!
 //! [`NaiveScenario`] packages the estimator as a campaign-ready
-//! [`Scenario`] (one isolated/contended run
-//! pair); [`naive_scua_vs_rsk`] and [`naive_rsk_vs_rsk`] are the serial
-//! wrappers.
+//! [`Scenario`] (one isolated/contended run pair); [`naive_rsk_vs_rsk`]
+//! is the serial wrapper for the rsk-against-rsk case.
 
 use crate::campaign::{RunError, RunSpec};
 use crate::executor::Executor;
-use crate::experiment::{ContendedRun, IsolatedRun, SlowdownMeasurement};
-use crate::scenario::{MetricValue, RunOutcome, Scenario, ScenarioError, ScenarioReport};
+use crate::scenario::{
+    expect_outcomes, MetricValue, RunOutcome, Scenario, ScenarioError, ScenarioReport,
+};
 use rrb_kernels::{rsk_nop, AccessKind};
 use rrb_sim::{CoreId, MachineConfig, Program, SimError};
 
-/// A naive `ubd_m` estimate and the measurements behind it.
+/// A naive `ubd_m` estimate: the two readings an analyst can take off
+/// one isolated/contended run pair.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NaiveEstimate {
     /// `det / nr`, the slowdown-per-request reading.
@@ -29,8 +30,6 @@ pub struct NaiveEstimate {
     /// The largest per-request delay visible on the performance counters
     /// (what an analyst with PMC access would report instead).
     pub ubd_m_max_gamma: u64,
-    /// The underlying paired measurement.
-    pub measurement: SlowdownMeasurement,
 }
 
 impl NaiveEstimate {
@@ -38,14 +37,6 @@ impl NaiveEstimate {
     /// readings (conservative practice).
     pub fn ubd_m(&self) -> u64 {
         self.ubd_m_det_over_nr.max(self.ubd_m_max_gamma)
-    }
-
-    fn from_measurement(measurement: SlowdownMeasurement) -> Result<Self, RunError> {
-        Ok(NaiveEstimate {
-            ubd_m_det_over_nr: measurement.naive_ubd_m().ok_or(RunError::NoBusRequests)?,
-            ubd_m_max_gamma: measurement.contended.gamma_histogram.max().unwrap_or(0),
-            measurement,
-        })
     }
 }
 
@@ -77,17 +68,28 @@ impl NaiveScenario {
         self
     }
 
-    /// Reduces the outcomes of [`Scenario::plan`] to an estimate.
+    /// Reduces the outcomes of [`Scenario::plan`] to an estimate:
+    /// `det = ExecTime_contended − ExecTime_isol` divided by the scua's
+    /// bus requests `nr` (rounded up, the conservative reading), next to
+    /// the largest contended γ.
     ///
     /// # Errors
     ///
-    /// Returns a failed run's [`RunError`], or
-    /// [`RunError::NoBusRequests`] when the scua never touched the bus.
+    /// Returns a failed run's [`RunError`], [`RunError::Analysis`] when
+    /// the outcomes do not match the plan, or [`RunError::NoBusRequests`]
+    /// when the scua never touched the bus.
     pub fn estimate(&self, outcomes: &[RunOutcome]) -> Result<NaiveEstimate, RunError> {
-        assert_eq!(outcomes.len(), 2, "outcome count must match the plan");
-        let isolated = IsolatedRun::from(outcomes[0].measurement()?.clone());
-        let contended = ContendedRun::from(outcomes[1].measurement()?.clone());
-        NaiveEstimate::from_measurement(SlowdownMeasurement { isolated, contended })
+        expect_outcomes(outcomes, 2)?;
+        let isolated = outcomes[0].measurement()?;
+        let contended = outcomes[1].measurement()?;
+        if isolated.bus_requests == 0 {
+            return Err(RunError::NoBusRequests);
+        }
+        let det = contended.execution_time.saturating_sub(isolated.execution_time);
+        Ok(NaiveEstimate {
+            ubd_m_det_over_nr: det.div_ceil(isolated.bus_requests),
+            ubd_m_max_gamma: contended.max_gamma().unwrap_or(0),
+        })
     }
 }
 
@@ -128,35 +130,6 @@ impl Scenario for NaiveScenario {
     }
 }
 
-fn run_scenario(scenario: &NaiveScenario) -> Result<NaiveEstimate, RunError> {
-    let specs = scenario.plan().map_err(|e| match e {
-        ScenarioError::Config(e) => RunError::Sim(e),
-        ScenarioError::Analysis(msg) => RunError::Analysis(msg),
-    })?;
-    let results = Executor::new().execute(&specs).0;
-    let outcomes: Vec<RunOutcome> = specs
-        .into_iter()
-        .zip(results)
-        .map(|(spec, result)| RunOutcome { label: spec.label, result })
-        .collect();
-    scenario.estimate(&outcomes)
-}
-
-/// The "scua against rsk" estimator (§3.1): run an arbitrary software
-/// component against `Nc − 1` stressing kernels and read `det / nr`.
-///
-/// # Errors
-///
-/// Returns [`RunError`] if either run fails or the scua made no bus
-/// requests.
-pub fn naive_scua_vs_rsk(
-    cfg: &MachineConfig,
-    scua_program: Program,
-    contender_access: AccessKind,
-) -> Result<NaiveEstimate, RunError> {
-    run_scenario(&NaiveScenario::new(cfg.clone(), scua_program, contender_access))
-}
-
 /// The "rsk against rsk" estimator (§3.2): the scua is itself a stressing
 /// kernel, maximising the chance every request meets full contention —
 /// and still falling short of `ubd` because of the synchrony effect.
@@ -170,12 +143,24 @@ pub fn naive_rsk_vs_rsk(
     iterations: u64,
 ) -> Result<NaiveEstimate, RunError> {
     let scua = rsk_nop(access, 0, cfg, CoreId::new(0), iterations);
-    naive_scua_vs_rsk(cfg, scua, access)
+    let scenario = NaiveScenario::new(cfg.clone(), scua, access);
+    let specs = scenario.plan().map_err(|e| match e {
+        ScenarioError::Config(e) => RunError::Sim(e),
+        ScenarioError::Analysis(msg) => RunError::Analysis(msg),
+    })?;
+    scenario.estimate(&Executor::new().outcomes(&specs))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The "scua against rsk" estimator (§3.1): an arbitrary software
+    /// component against `Nc − 1` load-stressing kernels.
+    fn scua_vs_rsk(cfg: &MachineConfig, scua: Program) -> Result<NaiveEstimate, RunError> {
+        let scenario = NaiveScenario::new(cfg.clone(), scua, AccessKind::Load);
+        scenario.estimate(&Executor::new().outcomes(&scenario.plan().expect("plan")))
+    }
 
     #[test]
     fn rsk_vs_rsk_on_ref_reads_26() {
@@ -209,7 +194,7 @@ mod tests {
         use rrb_kernels::AutobenchKernel;
         let cfg = MachineConfig::ngmp_ref();
         let scua = AutobenchKernel::Canrdr.profile().program(&cfg, CoreId::new(0), 3, Some(100));
-        let e = naive_scua_vs_rsk(&cfg, scua, AccessKind::Load).expect("run");
+        let e = scua_vs_rsk(&cfg, scua).expect("run");
         assert!(e.ubd_m() <= cfg.ubd());
         // det/nr averages over well-aligned requests: clearly below ubd.
         assert!(e.ubd_m_det_over_nr < cfg.ubd());
@@ -220,7 +205,7 @@ mod tests {
         // An empty scua performs no bus requests: nr = 0 must surface as
         // a typed error, not a panic.
         let cfg = MachineConfig::toy(4, 2);
-        match naive_scua_vs_rsk(&cfg, Program::empty(), AccessKind::Load) {
+        match scua_vs_rsk(&cfg, Program::empty()) {
             Err(RunError::NoBusRequests) => {}
             other => panic!("expected NoBusRequests, got {other:?}"),
         }
@@ -231,14 +216,7 @@ mod tests {
         let cfg = MachineConfig::toy(4, 2);
         let scua = rsk_nop(AccessKind::Load, 0, &cfg, CoreId::new(0), 120);
         let scenario = NaiveScenario::new(cfg, scua, AccessKind::Load).named("toy-naive");
-        let specs = scenario.plan().expect("plan");
-        let results = Executor::new().execute(&specs).0;
-        let outcomes: Vec<RunOutcome> = specs
-            .into_iter()
-            .zip(results)
-            .map(|(s, result)| RunOutcome { label: s.label, result })
-            .collect();
-        let report = scenario.analyze(&outcomes);
+        let report = scenario.analyze(&Executor::new().outcomes(&scenario.plan().expect("plan")));
         assert!(report.is_ok());
         assert_eq!(report.metric_u64("ubd_m_max_gamma"), Some(5));
     }

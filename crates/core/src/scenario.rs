@@ -50,6 +50,19 @@ impl RunOutcome {
     }
 }
 
+/// Checks that an analysis received one outcome per planned run, so a
+/// short or padded slice is a reported failure instead of a panic.
+pub(crate) fn expect_outcomes(outcomes: &[RunOutcome], planned: usize) -> Result<(), RunError> {
+    if outcomes.len() == planned {
+        Ok(())
+    } else {
+        Err(RunError::Analysis(format!(
+            "expected {planned} outcomes, one per planned run, got {}",
+            outcomes.len()
+        )))
+    }
+}
+
 /// Why a scenario could not be planned or analysed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScenarioError {
@@ -293,8 +306,10 @@ impl SweepScenario {
     ///
     /// # Errors
     ///
-    /// Returns the first failed run's [`RunError`].
+    /// Returns the first failed run's [`RunError`], or
+    /// [`RunError::Analysis`] when the outcomes do not match the plan.
     pub fn slowdowns(&self, outcomes: &[RunOutcome]) -> Result<Vec<u64>, RunError> {
+        expect_outcomes(outcomes, 2 * (self.max_k + 1))?;
         let mut series = Vec::with_capacity(self.max_k + 1);
         for pair in outcomes.chunks(2) {
             let isolated = pair[0].measurement()?;
@@ -391,14 +406,32 @@ mod tests {
         let s = SweepScenario::new(MachineConfig::toy(4, 2), 14, 80).named("toy-sweep");
         let specs = s.plan().expect("plan");
         assert_eq!(specs.len(), 30, "an isolated/contended pair per k");
-        let outcomes: Vec<RunOutcome> = specs
-            .iter()
-            .zip(Executor::new().execute(&specs).0)
-            .map(|(spec, result)| RunOutcome { label: spec.label.clone(), result })
-            .collect();
-        let report = s.analyze(&outcomes);
+        let report = s.analyze(&Executor::new().outcomes(&specs));
         assert!(report.is_ok(), "{report:?}");
         assert_eq!(report.metric_u64("period"), Some(6));
+    }
+
+    #[test]
+    fn truncated_outcomes_are_reported_not_panicked() {
+        use crate::methodology::{MethodologyConfig, UbdScenario};
+        use crate::naive::NaiveScenario;
+        use rrb_kernels::rsk_nop;
+        use rrb_sim::CoreId;
+
+        let cfg = MachineConfig::toy(4, 2);
+        let scua = rsk_nop(AccessKind::Load, 0, &cfg, CoreId::new(0), 40);
+        let scenarios: Vec<Box<dyn Scenario>> = vec![
+            Box::new(SweepScenario::new(cfg.clone(), 3, 40)),
+            Box::new(UbdScenario::new(cfg.clone(), MethodologyConfig::fast())),
+            Box::new(NaiveScenario::new(cfg, scua, AccessKind::Load)),
+        ];
+        for scenario in &scenarios {
+            let outcomes = Executor::new().outcomes(&scenario.plan().expect("plan"));
+            // An odd-length slice: the last contended run is missing.
+            let report = scenario.analyze(&outcomes[..outcomes.len() - 1]);
+            assert!(!report.is_ok(), "{} accepted a truncated slice", scenario.name());
+            assert!(report.summary.contains("outcomes"), "{report:?}");
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use rrb::campaign::{Campaign, CampaignGrid, GridScenario};
 use rrb::methodology::{derive_ubd, MethodologyConfig, UbdScenario};
-use rrb::scenario::{RunOutcome, Scenario};
+use rrb::scenario::Scenario;
 use rrb_kernels::AccessKind;
 use rrb_sim::{ArbiterKind, MachineConfig};
 
@@ -132,12 +132,7 @@ fn campaign_derivation_matches_direct_derive_ubd() {
     let direct = derive_ubd(&cfg, &mcfg).expect("direct derivation");
 
     let scenario = UbdScenario::new(cfg, mcfg).named("via-campaign");
-    let specs = scenario.plan().expect("plan");
-    let outcomes: Vec<RunOutcome> = specs
-        .iter()
-        .zip(rrb::executor::Executor::new().jobs(8).execute(&specs).0)
-        .map(|(spec, result)| RunOutcome { label: spec.label.clone(), result })
-        .collect();
+    let outcomes = rrb::executor::Executor::new().jobs(8).outcomes(&scenario.plan().expect("plan"));
     let via_campaign = scenario.derivation(&outcomes).expect("campaign derivation");
 
     assert_eq!(direct, via_campaign);
