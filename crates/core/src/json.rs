@@ -563,6 +563,130 @@ impl std::hash::Hasher for Fnv64Hasher {
     }
 }
 
+/// Strips the whitespace outside strings from a JSON document in one
+/// pass. For any value `v`, `minify(&v.render_pretty())` equals
+/// `v.render_compact()`, so entries written pretty can be hashed and
+/// compared on their bytes without building a [`Json`] tree.
+///
+/// Only what a byte scan can see is checked: every string terminates
+/// and holds no raw control character, and brackets balance and nest.
+/// Tokens between them are copied as they are; callers that need a
+/// value parse its slice with [`Json::parse`].
+///
+/// # Errors
+///
+/// Returns [`JsonParseError`] at the offending byte.
+pub fn minify(text: &str) -> Result<String, JsonParseError> {
+    let bytes = text.as_bytes();
+    let error = |pos: usize, message: &str| Parser { bytes, pos }.error(message);
+    let mut out = String::with_capacity(text.len());
+    let mut open: Vec<u8> = Vec::new();
+    // Start of the run of bytes not yet copied; runs end at whitespace,
+    // which is always a char boundary.
+    let mut run = 0;
+    let mut i = 0;
+    while i < bytes.len() {
+        match bytes[i] {
+            b' ' | b'\t' | b'\n' | b'\r' => {
+                out.push_str(&text[run..i]);
+                while matches!(bytes.get(i), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+                    i += 1;
+                }
+                run = i;
+                continue;
+            }
+            b'"' => {
+                i += 1;
+                loop {
+                    match bytes.get(i) {
+                        None => return Err(error(bytes.len(), "unterminated string")),
+                        Some(b'"') => break,
+                        Some(b'\\') => i += 2,
+                        Some(&b) if b < 0x20 => {
+                            return Err(error(i, "unescaped control character in string"))
+                        }
+                        Some(_) => i += 1,
+                    }
+                }
+            }
+            b @ (b'{' | b'[') => open.push(b),
+            b @ (b'}' | b']') => {
+                let opener = if b == b'}' { b'{' } else { b'[' };
+                if open.pop() != Some(opener) {
+                    return Err(error(i, "unbalanced brackets"));
+                }
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    if !open.is_empty() {
+        return Err(error(bytes.len(), "unexpected end of input (unclosed bracket)"));
+    }
+    out.push_str(&text[run..]);
+    Ok(out)
+}
+
+/// Pretty-prints a compact JSON document: the inverse of [`minify`].
+/// For any value `v`, `prettify(&v.render_compact())` equals
+/// `v.render_pretty()` byte for byte (two-space indentation, empty
+/// containers inline, a trailing newline).
+///
+/// The input must hold no whitespace outside strings, as
+/// [`Json::render_compact`] and [`minify`] guarantee; it is not
+/// otherwise validated.
+pub fn prettify(compact: &str) -> String {
+    let bytes = compact.as_bytes();
+    let mut out = String::with_capacity(compact.len() * 2);
+    let mut depth: usize = 0;
+    // Start of the run of bytes not yet copied; runs end at ASCII
+    // punctuation, which is always a char boundary.
+    let mut run = 0;
+    let mut i = 0;
+    while i < bytes.len() {
+        match bytes[i] {
+            b'"' => {
+                i += 1;
+                while i < bytes.len() && bytes[i] != b'"' {
+                    i += if bytes[i] == b'\\' { 2 } else { 1 };
+                }
+            }
+            b'{' | b'[' => {
+                if let (b'{', Some(b'}')) | (b'[', Some(b']')) = (bytes[i], bytes.get(i + 1)) {
+                    // Empty containers stay inline.
+                    i += 1;
+                } else {
+                    out.push_str(&compact[run..=i]);
+                    depth += 1;
+                    newline_indent(&mut out, Some(2), depth);
+                    run = i + 1;
+                }
+            }
+            b'}' | b']' => {
+                out.push_str(&compact[run..i]);
+                depth = depth.saturating_sub(1);
+                newline_indent(&mut out, Some(2), depth);
+                run = i;
+            }
+            b',' => {
+                out.push_str(&compact[run..=i]);
+                newline_indent(&mut out, Some(2), depth);
+                run = i + 1;
+            }
+            b':' => {
+                out.push_str(&compact[run..=i]);
+                out.push(' ');
+                run = i + 1;
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    out.push_str(&compact[run..]);
+    out.push('\n');
+    out
+}
+
 fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     if let Some(width) = indent {
         out.push('\n');
@@ -757,6 +881,96 @@ mod tests {
         assert!(v.get("missing").is_none());
         assert!(Json::Null.is_null() && !v.is_null());
         assert!(Json::U64(1).get("x").is_none());
+    }
+
+    /// Seeded document generator (splitmix64) for the text-function
+    /// round trips: strings carry spaces, quotes, escapes and the
+    /// structural characters the scans must not mistake for structure.
+    struct DocGen(u64);
+
+    impl DocGen {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn string(&mut self) -> String {
+            let chars: Vec<char> = "aZ7 \"\\\n\t\u{1}é{}[]:,".chars().collect();
+            (0..self.below(8)).map(|_| chars[self.below(chars.len() as u64) as usize]).collect()
+        }
+
+        fn float(&mut self) -> f64 {
+            match self.below(4) {
+                0 => [0.0, 1.0, -0.5, 0.1, 2.5e-8, 1e300][self.below(6) as usize],
+                1 => self.next() as f64 / 7.0,
+                _ => f64::from_bits(self.next()),
+            }
+        }
+
+        fn value(&mut self, depth: usize) -> Json {
+            let kinds = if depth >= 5 { 6 } else { 8 };
+            match self.below(kinds) {
+                0 => Json::Null,
+                1 => Json::Bool(self.below(2) == 0),
+                2 => Json::U64(self.next() >> self.below(64)),
+                3 => Json::I64(-((self.next() >> (1 + self.below(63))) as i64)),
+                4 => Json::F64(self.float()),
+                5 => Json::Str(self.string()),
+                6 => Json::Arr((0..self.below(4)).map(|_| self.value(depth + 1)).collect()),
+                _ => Json::Obj(
+                    (0..self.below(4)).map(|_| (self.string(), self.value(depth + 1))).collect(),
+                ),
+            }
+        }
+    }
+
+    #[test]
+    fn minify_and_prettify_invert_the_two_renderings() {
+        let mut gen = DocGen(0x5eed_2015);
+        let mut docs: Vec<Json> = (0..40).map(|_| gen.value(0)).collect();
+        let mut deep = Json::str("core \"0\"\\ at: {depth}");
+        for level in 0..40 {
+            deep = if level % 2 == 0 {
+                Json::Arr(vec![deep, Json::Arr(vec![])])
+            } else {
+                Json::obj(vec![("k", deep), ("empty", Json::Obj(vec![])), ("f", Json::F64(0.25))])
+            };
+        }
+        docs.extend([deep, Json::Arr(vec![]), Json::Obj(vec![]), Json::str(" ")]);
+        for v in &docs {
+            let (compact, pretty) = (v.render_compact(), v.render_pretty());
+            assert_eq!(minify(&pretty).as_deref(), Ok(compact.as_str()), "{v:?}");
+            assert_eq!(prettify(&compact), pretty, "{v:?}");
+        }
+    }
+
+    #[test]
+    fn minify_rejects_what_a_byte_scan_can_see() {
+        for bad in [
+            "\"unterminated",
+            "\"esc\\",
+            "{\"a\":1",
+            "[1,2",
+            "[1}",
+            "{\"a\":[1]]}",
+            "\"a\tb\"",
+            "]",
+        ] {
+            assert!(minify(bad).is_err(), "`{bad}` must be rejected");
+        }
+        let e = minify("{\n  \"a\": [1,\n").expect_err("unclosed");
+        assert_eq!(e.line, 3, "{e}");
+        assert_eq!(
+            minify(" { \"a b\" : [ 1 , \"\\\" ]\" ] }\n").as_deref(),
+            Ok("{\"a b\":[1,\"\\\" ]\"]}")
+        );
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //!    plus the entry-format version. Entries written by a build with
 //!    different simulator semantics are purged wholesale at open.
 //! 2. **Integrity**: every entry carries `payload_hash`, the
-//!    [`fnv1a_64`] of its canonical payload rendering. Truncated,
+//!    [`fnv1a_64`] of its payload's bytes as stored, whitespace outside
+//!    strings removed (the payload's compact rendering). Truncated,
 //!    bit-flipped, or half-written files fail the check and are
 //!    reported as a warning, never reused.
 //! 3. **Structural confirmation**: the entry stores the *complete*
@@ -24,6 +25,15 @@
 //!    labels excluded, exactly like campaign dedup). A hash hit is only
 //!    a hit if the stored spec equals the queried one byte for byte, so
 //!    an FNV collision costs one re-execution, never a wrong result.
+//!
+//! Entries are pretty-printed JSON on disk, but they are checked on
+//! their bytes: one scan ([`json::minify`]) strips the whitespace, the
+//! header fields are read in the order they are written, the payload is
+//! hashed and the stored spec compared as they stand, and only the
+//! measurement is parsed into a [`Json`] tree. The write side renders
+//! the same compact text and pretty-prints it with [`json::prettify`].
+//! [`ResultStore::entry_payload`] returns the validated compact payload
+//! text itself.
 //!
 //! Writes are atomic (unique temp file in the same directory, then
 //! `rename`), so concurrent campaigns sharing a store can only observe
@@ -48,12 +58,13 @@
 //! ```
 
 use crate::campaign::{RunMeasurement, RunSpec};
-use crate::json::{fnv1a_64, Json};
+use crate::json::{self, fnv1a_64, Json};
 use crate::spec::MachineSpec;
 use rrb_analysis::Histogram;
 use rrb_kernels::{rsk, rsk_nop, AccessKind};
 use rrb_sim::{BusOpKind, CoreId, Machine, MachineConfig, Program, TraceEvent};
 use std::fmt;
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -359,7 +370,8 @@ impl ResultStore {
     /// validates the entry stored under `spec_hash` (format version,
     /// simulator fingerprint, content address, integrity hash) and
     /// returns its payload — the canonical spec plus the measurement —
-    /// as JSON. This is the `rrb serve` `GET /v1/runs/{hash}` backend.
+    /// as compact JSON text, the bytes its integrity hash covers. This
+    /// is the `rrb serve` `GET /v1/runs/{hash}` backend.
     ///
     /// Returns `Ok(None)` when no entry exists under that address.
     ///
@@ -368,21 +380,16 @@ impl ResultStore {
     /// Returns the human-readable reason when an entry exists but
     /// cannot be trusted (unreadable, corrupt, stale fingerprint, or
     /// mis-addressed).
-    pub fn entry_payload(&self, spec_hash: u64) -> Result<Option<Json>, String> {
+    pub fn entry_payload(&self, spec_hash: u64) -> Result<Option<String>, String> {
         let path = self.entry_path(spec_hash);
         let text = match std::fs::read_to_string(&path) {
             Ok(text) => text,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(format!("unreadable entry: {e}")),
         };
-        self.decode_entry(&text, Some(spec_hash), None)
-            .map_err(|reason| format!("{}: {reason}", file_name(&path)))?;
-        match Json::parse(&text) {
-            Ok(v) => match v.get("payload") {
-                Some(payload) => Ok(Some(payload.clone())),
-                None => Err(String::from("corrupt entry: no `payload`")),
-            },
-            Err(e) => Err(format!("corrupt entry (not valid JSON): {e}")),
+        match check_entry(&text, self.fingerprint, Some(spec_hash), None) {
+            Ok((_, payload)) => Ok(Some(payload)),
+            Err(reason) => Err(format!("{}: {reason}", file_name(&path))),
         }
     }
 
@@ -402,7 +409,7 @@ impl ResultStore {
             return Ok(false);
         }
         let entry = encode_entry(self.fingerprint, spec, m);
-        self.write_atomic_in_dir(&self.entry_path(spec.spec_hash()), &entry.render_pretty())?;
+        self.write_atomic_in_dir(&self.entry_path(spec.spec_hash()), &entry)?;
         Ok(true)
     }
 
@@ -575,19 +582,23 @@ pub fn write_file_atomic(path: impl AsRef<Path>, contents: &str) -> Result<(), S
 // Entry codec: pure functions (no filesystem), unit-testable under Miri
 // ---------------------------------------------------------------------
 
-/// Encodes one complete entry document: format version, simulator
-/// fingerprint, content address, integrity hash, and the full payload.
-fn encode_entry(fingerprint: u64, spec: &RunSpec, m: &RunMeasurement) -> Json {
-    let payload =
-        Json::obj(vec![("spec", spec_to_json(spec)), ("measurement", measurement_to_json(m))]);
-    let payload_hash = fnv1a_64(payload.render_compact().as_bytes());
-    Json::obj(vec![
-        ("format", Json::U64(STORE_FORMAT_VERSION)),
-        ("fingerprint", Json::U64(fingerprint)),
-        ("spec_hash", Json::U64(spec.spec_hash())),
-        ("payload_hash", Json::U64(payload_hash)),
-        ("payload", payload),
-    ])
+/// Encodes one complete entry file: format version, simulator
+/// fingerprint, content address, integrity hash, and the full payload,
+/// pretty-printed. The payload is built as compact text and hashed on
+/// those bytes, the same bytes [`decode_entry`] hashes after stripping
+/// the file's whitespace.
+fn encode_entry(fingerprint: u64, spec: &RunSpec, m: &RunMeasurement) -> String {
+    let payload = format!(
+        "{{\"spec\":{},\"measurement\":{}}}",
+        canonical_spec(spec),
+        measurement_to_json(m).render_compact()
+    );
+    json::prettify(&format!(
+        "{{\"format\":{STORE_FORMAT_VERSION},\"fingerprint\":{fingerprint},\"spec_hash\":{},\
+         \"payload_hash\":{},\"payload\":{payload}}}",
+        spec.spec_hash(),
+        fnv1a_64(payload.as_bytes()),
+    ))
 }
 
 /// Decodes and fully validates one entry. `fingerprint` is the current
@@ -600,21 +611,35 @@ fn decode_entry(
     expect_hash: Option<u64>,
     confirm: Option<&RunSpec>,
 ) -> Result<RunMeasurement, String> {
-    let v = Json::parse(text).map_err(|e| format!("corrupt entry (not valid JSON): {e}"))?;
-    let field = |key: &str| {
-        v.get(key).and_then(Json::as_u64).ok_or_else(|| format!("corrupt entry: no `{key}`"))
-    };
-    let format = field("format")?;
+    check_entry(text, fingerprint, expect_hash, confirm).map(|(measurement, _)| measurement)
+}
+
+/// The checks behind [`decode_entry`], on the entry's bytes: one scan
+/// strips the whitespace, the header fields are read in the order
+/// [`encode_entry`] writes them, the payload is hashed and the stored
+/// spec compared as they stand, and only the measurement is parsed.
+/// Returns the measurement and the payload's compact text, the bytes
+/// its integrity hash covers.
+fn check_entry(
+    text: &str,
+    fingerprint: u64,
+    expect_hash: Option<u64>,
+    confirm: Option<&RunSpec>,
+) -> Result<(RunMeasurement, String), String> {
+    let mut compact =
+        json::minify(text).map_err(|e| format!("corrupt entry (not valid JSON): {e}"))?;
+    let mut at = 0;
+    let format = u64_field(&compact, &mut at, "{\"format\":", "format")?;
     if format != STORE_FORMAT_VERSION {
         return Err(format!("entry format {format} but this build writes {STORE_FORMAT_VERSION}"));
     }
-    let entry_fingerprint = field("fingerprint")?;
+    let entry_fingerprint = u64_field(&compact, &mut at, ",\"fingerprint\":", "fingerprint")?;
     if entry_fingerprint != fingerprint {
         return Err(format!(
             "stale simulator fingerprint {entry_fingerprint:016x} (current {fingerprint:016x})"
         ));
     }
-    let spec_hash = field("spec_hash")?;
+    let spec_hash = u64_field(&compact, &mut at, ",\"spec_hash\":", "spec_hash")?;
     if let Some(expected) = expect_hash {
         if spec_hash != expected {
             return Err(format!(
@@ -623,45 +648,135 @@ fn decode_entry(
             ));
         }
     }
-    let payload = v.get("payload").ok_or("corrupt entry: no `payload`")?;
-    if fnv1a_64(payload.render_compact().as_bytes()) != field("payload_hash")? {
+    let payload_hash = u64_field(&compact, &mut at, ",\"payload_hash\":", "payload_hash")?;
+    // The payload runs from its key to the entry's closing brace.
+    expect(&compact, &mut at, ",\"payload\":", "payload")?;
+    if !compact.ends_with('}') || at >= compact.len() {
+        return Err(String::from("corrupt entry: no `payload`"));
+    }
+    let payload = at..compact.len() - 1;
+    if fnv1a_64(compact[payload.clone()].as_bytes()) != payload_hash {
         return Err(String::from("integrity hash mismatch (truncated or bit-flipped entry)"));
     }
-    if let Some(spec) = confirm {
-        let stored = payload.get("spec").ok_or("corrupt entry: no `payload.spec`")?;
-        if stored.render_compact() != spec_to_json(spec).render_compact() {
+    expect(&compact, &mut at, "{\"spec\":", "payload.spec")?;
+    let spec =
+        at..container_end(compact.as_bytes(), at).ok_or("corrupt entry: no `payload.spec`")?;
+    at = spec.end;
+    if let Some(queried) = confirm {
+        if compact[spec] != canonical_spec(queried) {
             return Err(String::from(
                 "spec-hash collision: stored spec differs structurally from the queried one",
             ));
         }
     }
-    let m = payload.get("measurement").ok_or("corrupt entry: no `payload.measurement`")?;
-    measurement_from_json(m)
+    expect(&compact, &mut at, ",\"measurement\":", "payload.measurement")?;
+    // The measurement is the payload's last member: it ends where the
+    // payload's own closing brace starts.
+    let measurement = compact[..payload.end]
+        .strip_suffix('}')
+        .and_then(|inner| inner.get(at..))
+        .ok_or("corrupt entry: no `payload.measurement`")?;
+    let measurement = Json::parse(measurement)
+        .map_err(|e| format!("corrupt entry (not valid JSON): {e}"))
+        .and_then(|m| measurement_from_json(&m))?;
+    compact.truncate(payload.end);
+    compact.drain(..payload.start);
+    Ok((measurement, compact))
+}
+
+/// Steps over `literal` at `*at`, or names `what` as missing.
+fn expect(text: &str, at: &mut usize, literal: &str, what: &str) -> Result<(), String> {
+    if text.get(*at..).is_some_and(|rest| rest.starts_with(literal)) {
+        *at += literal.len();
+        Ok(())
+    } else {
+        Err(format!("corrupt entry: no `{what}`"))
+    }
+}
+
+/// Reads the unsigned integer after `literal`, in the canonical form the
+/// renderer writes (digits only, no leading zero).
+fn u64_field(text: &str, at: &mut usize, literal: &str, key: &str) -> Result<u64, String> {
+    expect(text, at, literal, key)?;
+    let digits = text[*at..].bytes().take_while(u8::is_ascii_digit).count();
+    let token = &text[*at..*at + digits];
+    *at += digits;
+    match token.parse::<u64>() {
+        Ok(v) if token.len() == 1 || !token.starts_with('0') => Ok(v),
+        _ => Err(format!("corrupt entry: no `{key}`")),
+    }
+}
+
+/// The end (exclusive) of the object or array opening at `start`:
+/// brackets are matched outside strings. `None` for anything else.
+fn container_end(bytes: &[u8], start: usize) -> Option<usize> {
+    let mut depth = 0usize;
+    let mut i = start;
+    loop {
+        match *bytes.get(i)? {
+            b'"' => {
+                i += 1;
+                while *bytes.get(i)? != b'"' {
+                    i += if bytes[i] == b'\\' { 2 } else { 1 };
+                }
+            }
+            b'{' | b'[' => depth += 1,
+            b'}' | b']' => {
+                depth = depth.checked_sub(1)?;
+                if depth == 0 {
+                    return Some(i + 1);
+                }
+            }
+            _ if depth == 0 => return None,
+            _ => {}
+        }
+        i += 1;
+    }
 }
 
 // ---------------------------------------------------------------------
 // Canonical serialisation: RunSpec (confirmation) and RunMeasurement
 // ---------------------------------------------------------------------
 
-/// The canonical, label-free serialisation of a spec: machine (via the
-/// lossless [`MachineSpec`] mapping) plus every program, instruction by
-/// instruction. Injective by construction, so byte equality of the
-/// rendering is structural equality of the measurement-relevant spec.
-fn spec_to_json(spec: &RunSpec) -> Json {
-    Json::obj(vec![
-        ("machine", MachineSpec(spec.cfg.clone()).to_json()),
-        ("scua", program_to_json(&spec.scua)),
-        ("contenders", Json::Arr(spec.contenders.iter().map(program_to_json).collect())),
-    ])
-}
-
-fn program_to_json(p: &Program) -> Json {
-    Json::obj(vec![
-        // `Instr`'s Display form is injective (`ld 0x..`, `st 0x..`,
-        // `nop`, `alu(n)`, `br`), so the token list is a faithful body.
-        ("body", Json::Arr(p.body().iter().map(|i| Json::str(i.to_string())).collect())),
-        ("iterations", Json::option(p.iterations().finite(), Json::U64)),
-    ])
+/// The canonical, label-free text of a spec, exactly as an entry stores
+/// it in `payload.spec`: the machine (via the lossless [`MachineSpec`]
+/// mapping) plus every program, instruction by instruction. Injective
+/// by construction, so byte equality of the text is structural equality
+/// of the measurement-relevant spec.
+fn canonical_spec(spec: &RunSpec) -> String {
+    fn program(out: &mut String, p: &Program) {
+        out.push_str("{\"body\":[");
+        for (i, instr) in p.body().iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            // `Instr`'s Display form is injective (`ld 0x..`, `st 0x..`,
+            // `nop`, `alu(n)`, `br`) and needs no escaping, so the token
+            // list is a faithful body.
+            let _ = write!(out, "\"{instr}\"");
+        }
+        out.push_str("],\"iterations\":");
+        match p.iterations().finite() {
+            Some(n) => {
+                let _ = write!(out, "{n}");
+            }
+            None => out.push_str("null"),
+        }
+        out.push('}');
+    }
+    let mut out = String::from("{\"machine\":");
+    out.push_str(&MachineSpec(spec.cfg.clone()).to_json().render_compact());
+    out.push_str(",\"scua\":");
+    program(&mut out, &spec.scua);
+    out.push_str(",\"contenders\":[");
+    for (i, p) in spec.contenders.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        program(&mut out, p);
+    }
+    out.push_str("]}");
+    out
 }
 
 fn histogram_to_json(h: &Histogram) -> Json {
@@ -761,6 +876,54 @@ mod tests {
         }
     }
 
+    /// The same run with every histogram empty and an mc utilisation.
+    fn empty_histogram_measurement() -> RunMeasurement {
+        RunMeasurement {
+            execution_time: 7,
+            bus_requests: 0,
+            instructions: 3,
+            gamma_histogram: Histogram::new(),
+            mc_gamma_histogram: Histogram::new(),
+            contender_histogram: Histogram::new(),
+            bus_utilization: 0.0,
+            mc_utilization: Some(0.1 + 0.2),
+        }
+    }
+
+    // The tree encoder entries were written with before the codec
+    // checked them on their bytes, kept as the reference that pins the
+    // on-disk format. It shadows the module's `encode_entry`, so the
+    // codec tests below decode files exactly as that encoder wrote them;
+    // `super::encode_entry` is the encoder in use.
+
+    fn encode_entry(fingerprint: u64, spec: &RunSpec, m: &RunMeasurement) -> Json {
+        let payload =
+            Json::obj(vec![("spec", spec_to_json(spec)), ("measurement", measurement_to_json(m))]);
+        let payload_hash = fnv1a_64(payload.render_compact().as_bytes());
+        Json::obj(vec![
+            ("format", Json::U64(STORE_FORMAT_VERSION)),
+            ("fingerprint", Json::U64(fingerprint)),
+            ("spec_hash", Json::U64(spec.spec_hash())),
+            ("payload_hash", Json::U64(payload_hash)),
+            ("payload", payload),
+        ])
+    }
+
+    fn spec_to_json(spec: &RunSpec) -> Json {
+        Json::obj(vec![
+            ("machine", MachineSpec(spec.cfg.clone()).to_json()),
+            ("scua", program_to_json(&spec.scua)),
+            ("contenders", Json::Arr(spec.contenders.iter().map(program_to_json).collect())),
+        ])
+    }
+
+    fn program_to_json(p: &Program) -> Json {
+        Json::obj(vec![
+            ("body", Json::Arr(p.body().iter().map(|i| Json::str(i.to_string())).collect())),
+            ("iterations", Json::option(p.iterations().finite(), Json::U64)),
+        ])
+    }
+
     // The `entry_*` tests exercise the pure encode/decode codec with no
     // filesystem or simulation — CI runs them (plus the `json` module)
     // under Miri, where a full machine run would be prohibitively slow.
@@ -802,6 +965,67 @@ mod tests {
         // Truncation is not even valid JSON.
         let e = decode_entry(&text[..text.len() / 2], 0xfeed, None, None).expect_err("truncated");
         assert!(e.contains("JSON"), "{e}");
+    }
+
+    #[test]
+    fn entry_files_match_the_tree_encoder_byte_for_byte() {
+        let ngmp = MachineConfig::ngmp_two_level();
+        let scua = rsk_nop(AccessKind::Store, 3, &ngmp, CoreId::new(0), 20);
+        let ngmp_spec = RunSpec::contended_rsk("ngmp", ngmp, scua, AccessKind::Load);
+        for spec in [toy_spec(1), ngmp_spec] {
+            for m in [toy_measurement(), empty_histogram_measurement()] {
+                let reference = encode_entry(0xfeed, &spec, &m).render_pretty();
+                assert_eq!(super::encode_entry(0xfeed, &spec, &m), reference, "{}", spec.label);
+                let hash = Some(spec.spec_hash());
+                let (back, payload) =
+                    check_entry(&reference, 0xfeed, hash, Some(&spec)).expect("decodes");
+                assert_eq!(back, m);
+                let tree = Json::parse(&reference).expect("reference entry is JSON");
+                assert_eq!(payload, tree.get("payload").expect("payload").render_compact());
+            }
+        }
+    }
+
+    #[test]
+    fn entry_decode_survives_random_byte_mutations() {
+        // Flip, insert, delete and truncate at random positions. Decoding
+        // must never panic, and an accepted entry must be the original up
+        // to whitespace outside strings: the store never serves a wrong
+        // result.
+        let spec = toy_spec(1);
+        let m = toy_measurement();
+        let text = super::encode_entry(0xfeed, &spec, &m);
+        let compact = json::minify(&text).expect("encoded entry is JSON");
+        let (_, payload) = check_entry(&text, 0xfeed, None, None).expect("valid");
+        let mut rng = rrb_kernels::KernelRng::seed_from_u64(13);
+        let (mut accepted, mut rejected) = (0, 0);
+        for _ in 0..if cfg!(miri) { 40 } else { 3000 } {
+            let mut bytes = text.clone().into_bytes();
+            let at = rng.gen_below(bytes.len() as u64) as usize;
+            let byte = match rng.gen_below(2) {
+                0 => b" \t\n\r"[rng.gen_below(4) as usize],
+                _ => rng.gen_below(256) as u8,
+            };
+            match rng.gen_below(4) {
+                0 => bytes[at] ^= 1 << rng.gen_below(8),
+                1 => bytes.insert(at, byte),
+                2 => drop(bytes.remove(at)),
+                _ => bytes.truncate(at),
+            }
+            let Ok(mutated) = String::from_utf8(bytes) else { continue };
+            for confirm in [Some(&spec), None] {
+                match check_entry(&mutated, 0xfeed, Some(spec.spec_hash()), confirm) {
+                    Ok((back, back_payload)) => {
+                        accepted += 1;
+                        assert_eq!(back, m, "{mutated}");
+                        assert_eq!(back_payload, payload, "{mutated}");
+                        assert_eq!(json::minify(&mutated).as_deref(), Ok(compact.as_str()));
+                    }
+                    Err(_) => rejected += 1,
+                }
+            }
+        }
+        assert!(accepted > 0 && rejected > 0, "accepted {accepted}, rejected {rejected}");
     }
 
     #[test]

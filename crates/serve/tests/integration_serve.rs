@@ -176,6 +176,36 @@ fn campaign_stream_cold_then_warm_and_point_queries() {
     assert!(final_stats.point_queries >= hashes.len() as u64);
 }
 
+#[test]
+fn point_query_body_is_the_rendered_payload_of_the_entry_file() {
+    let daemon = Daemon::boot("body", 1);
+    let cold = client::post(daemon.addr, "/v1/campaigns", &small_spec()).unwrap();
+    assert_eq!(cold.status, 200);
+    let hashes: Vec<String> = cold
+        .body
+        .lines()
+        .filter(|l| l.contains("\"type\":\"run\""))
+        .filter_map(|l| Json::parse(l).ok())
+        .filter_map(|v| spec_hash_of(&v))
+        .collect();
+    assert!(!hashes.is_empty());
+    for hash in &hashes {
+        // The body as a tree render of the entry file's payload: the
+        // daemon must answer with exactly these bytes.
+        let file = daemon.store.dir().join("entries").join(format!("{hash}.json"));
+        let entry = Json::parse(&std::fs::read_to_string(file).unwrap()).unwrap();
+        let expected = Json::obj(vec![
+            ("spec_hash", Json::str(hash.clone())),
+            ("payload", entry.get("payload").unwrap().clone()),
+        ])
+        .render_compact();
+        let resp = client::get(daemon.addr, &format!("/v1/runs/{hash}")).unwrap();
+        assert_eq!(resp.status, 200, "point query for {hash}: {}", resp.body);
+        assert_eq!(resp.body, expected, "point query body for {hash}");
+    }
+    daemon.shutdown();
+}
+
 fn spec_hash_of(v: &Json) -> Option<String> {
     v.get("spec_hash").and_then(Json::as_str).map(str::to_owned)
 }
