@@ -10,6 +10,12 @@
 //! static analyzer trustworthy: every cell is explored, every exact
 //! bound is finite, and no exact bound ever exceeds its static bound.
 //!
+//! It also times the whole static, flow and exact bound ladder
+//! (`analyze_spec` + `verify_spec`) over the checked-in specs
+//! `examples/experiments/ngmp_sweep.json` and
+//! `crates/bench/specs/ablation_arbiters.json`, and records
+//! `ladder_cells_per_s` from the fastest of [`LADDER_PASSES`] passes.
+//!
 //! Artifact: `BENCH_verify.json`, gated by `bench_gate` via
 //! `baselines/verify.json`.
 //!
@@ -19,11 +25,48 @@
 
 use rrb::campaign::{CampaignGrid, GridScenario};
 use rrb::json::Json;
+use rrb::spec::ExperimentSpec;
 use rrb::statics::VerifyOptions;
-use rrb::verify::{render_verified, verify_grid};
+use rrb::verify::{render_verified, verify_grid, verify_spec};
 use rrb_sim::{ArbiterKind, MachineConfig, McQueueConfig};
+use std::hint::black_box;
+use std::time::Instant;
 
 const MC_OCCUPANCY: u64 = 2;
+
+/// The specs the bound-ladder timing runs over.
+const LADDER_SPECS: [&str; 2] = [
+    concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/experiments/ngmp_sweep.json"),
+    concat!(env!("CARGO_MANIFEST_DIR"), "/specs/ablation_arbiters.json"),
+];
+
+/// Timed passes over the ladder specs. The analysis is deterministic, so
+/// the fastest pass is the least-noisy estimate.
+const LADDER_PASSES: usize = 20;
+
+/// Cells per pass and cells per second of the fastest pass of
+/// `analyze_spec` + `verify_spec` over [`LADDER_SPECS`].
+fn ladder_rate() -> (u64, f64) {
+    let specs: Vec<ExperimentSpec> = LADDER_SPECS
+        .iter()
+        .map(|path| {
+            let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path}: {e}"));
+            ExperimentSpec::parse(&text).unwrap_or_else(|e| panic!("{path}: {e}"))
+        })
+        .collect();
+    let mut cells = 0;
+    let mut fastest = f64::INFINITY;
+    for _ in 0..LADDER_PASSES {
+        let start = Instant::now();
+        cells = 0;
+        for spec in &specs {
+            black_box(rrb::analyze_spec(spec));
+            cells += black_box(verify_spec(spec, &VerifyOptions::default())).len() as u64;
+        }
+        fastest = fastest.min(start.elapsed().as_secs_f64());
+    }
+    (cells, cells as f64 / fastest)
+}
 
 fn base(two_level: bool) -> MachineConfig {
     let mut cfg = MachineConfig::toy(4, 2);
@@ -70,6 +113,12 @@ fn main() {
         }
     }
 
+    let (ladder_cells, ladder_cells_per_s) = ladder_rate();
+    println!(
+        "bound ladder over the checked-in specs: {ladder_cells} cells, \
+         {ladder_cells_per_s:.0} cells/s (fastest of {LADDER_PASSES} passes)"
+    );
+
     let artifact = Json::obj(vec![
         ("bench", Json::str("verify_sweep")),
         ("mc_service_occupancy", Json::U64(MC_OCCUPANCY)),
@@ -81,6 +130,8 @@ fn main() {
         ("all_sound", Json::Bool(violations == 0)),
         ("alignments_explored", Json::U64(explored)),
         ("alignments_pruned", Json::U64(pruned)),
+        ("ladder_cells", Json::U64(ladder_cells)),
+        ("ladder_cells_per_s", Json::F64(ladder_cells_per_s)),
         ("rows", Json::Arr(rows)),
     ]);
     let path = "BENCH_verify.json";

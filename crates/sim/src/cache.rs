@@ -224,14 +224,18 @@ impl Cache {
         }
     }
 
-    /// Appends a time-free signature of the named sets to `out`: per way,
-    /// validity, tag, and the line's *relative* stamp rank within its set.
+    /// Appends a time-free signature of the named sets (indices as
+    /// [`Cache::set_of`] returns them) to `out`: per way, validity, tag,
+    /// and the line's *relative* stamp rank within its set.
     /// Two caches with equal signatures behave identically on any future
     /// LRU/FIFO access pattern confined to those sets, regardless of the
-    /// absolute clock values — the property the steady-state fast-forward
-    /// detector relies on. (Random replacement depends on the absolute
-    /// clock, which is why the detector refuses it.)
-    pub(crate) fn rank_signature(&self, sets: &[usize], out: &mut Vec<u64>) {
+    /// absolute clock values. Two detectors rely on it: the simulator's
+    /// steady-state fast-forward, and the must/may classifier of
+    /// `rrb-static`, which signs the sets a program's stream touches to
+    /// find the iteration where its cache state repeats. (Random
+    /// replacement depends on the absolute clock, which is why both
+    /// refuse it.)
+    pub fn rank_signature(&self, sets: &[usize], out: &mut Vec<u64>) {
         for &s in sets {
             let base = s * self.ways;
             let set = &self.lines[base..base + self.ways];

@@ -7,8 +7,9 @@
 //! the paper's rsk never reaches the controller after its cold fill, and a
 //! loop whose working set fits DL1 never reaches the bus at all. This
 //! module recovers those facts statically by *replaying* the access stream
-//! against models of the IL1, DL1, and the core's L2 partition that mirror
-//! the simulator's [`rrb_sim::Cache`] cycle for cycle:
+//! on the simulator's own [`rrb_sim::Cache`] — one each for the IL1, the
+//! DL1 and the core's L2 partition — in the order the core model issues
+//! the accesses:
 //!
 //! * instruction fetches touch the IL1 once per instruction in program
 //!   order (the core model touches on a hit at dispatch and on the refill
@@ -25,10 +26,14 @@
 //! Replay over a loop body is run iteration by iteration until the
 //! (replacement-normalised) cache state repeats, which proves the per-
 //! iteration outcome vector periodic: the classification then covers
-//! *every* future iteration, not just the replayed prefix. Programs that
+//! *every* future iteration, not just the replayed prefix. The state is
+//! compared through [`rrb_sim::Cache::rank_signature`] over only the sets
+//! the stream's addresses map to: no other set changes during the replay,
+//! so a repeated signature is a repeated whole-cache state. Programs that
 //! do not converge within the iteration cap — or that use random
-//! replacement, whose victim choice depends on the absolute access count —
-//! fall back to the classic worst-case envelope.
+//! replacement, whose victim choice depends on the absolute access count,
+//! or a cache geometry [`rrb_sim::CacheConfig::validate`] rejects — fall
+//! back to the classic worst-case envelope.
 //!
 //! The result feeds two consumers: [`classified_profile`] tightens a
 //! [`CoreProfile`] with proven request counts and a proven request gap,
@@ -37,7 +42,8 @@
 //! everything-collides pessimism.
 
 use crate::profile::{local_latency, profile_program, CoreProfile, INSTR_BYTES};
-use rrb_sim::{CacheConfig, CoreId, Instr, Iterations, MachineConfig, Program, Replacement};
+use rrb_sim::cache::Access;
+use rrb_sim::{Cache, CacheStats, CoreId, Instr, Iterations, MachineConfig, Program, Replacement};
 
 /// Base of the per-core instruction-fetch address stream (mirrors the
 /// core model's private constant; pinned by the golden-kernel tests).
@@ -84,16 +90,10 @@ impl LevelClasses {
     }
 }
 
-/// Raw hit/miss totals of one model cache over the replayed iterations.
-/// For a fully replayed finite program these match the cycle-accurate
-/// simulator's counters exactly (the golden-kernel tests pin this).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReplayStats {
-    /// Accesses that hit during the replay.
-    pub hits: u64,
-    /// Accesses that missed during the replay.
-    pub misses: u64,
-}
+/// Raw hit/miss totals of one replayed cache. For a fully replayed finite
+/// program these match the cycle-accurate simulator's counters exactly
+/// (the golden-kernel tests pin this).
+pub type ReplayStats = CacheStats;
 
 /// The classified access stream of one program on one core.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -127,125 +127,14 @@ pub struct AccessClasses {
     /// Whether every iteration of a finite program was replayed (totals
     /// and replay stats are then exact, not periodic extrapolations).
     pub fully_replayed: bool,
-    /// Model IL1 totals over the replayed iterations.
+    /// IL1 totals over the replayed iterations.
     pub il1_replay: ReplayStats,
-    /// Model DL1 totals over the replayed iterations.
+    /// DL1 totals over the replayed iterations.
     pub dl1_replay: ReplayStats,
-    /// Model L2-partition totals over the replayed iterations (only
+    /// L2-partition totals over the replayed iterations (only
     /// meaningful when the L2 replay order is sound — no buffered store
     /// drains interleaving with demand misses).
     pub l2_replay: ReplayStats,
-}
-
-/// Replacement-normalised state of one cache (see
-/// [`ModelCache::fingerprint`]).
-type Fingerprint = Vec<Vec<(u64, bool, usize)>>;
-
-/// A tag-only cache that mirrors [`rrb_sim::Cache`]'s replacement
-/// behaviour exactly (LRU stamp refresh on hit, invalid-first victim
-/// selection, FIFO fill stamps, xorshift-over-access-count random).
-#[derive(Debug, Clone)]
-struct ModelCache {
-    line_bytes: u64,
-    sets: Vec<Vec<ModelLine>>,
-    replacement: Replacement,
-    clock: u64,
-    hits: u64,
-    misses: u64,
-}
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct ModelLine {
-    tag: u64,
-    valid: bool,
-    stamp: u64,
-}
-
-impl ModelCache {
-    fn new(cfg: &CacheConfig) -> ModelCache {
-        let sets = (0..cfg.sets())
-            .map(|_| (0..cfg.ways).map(|_| ModelLine { tag: 0, valid: false, stamp: 0 }).collect())
-            .collect();
-        ModelCache {
-            line_bytes: cfg.line_bytes.max(1),
-            sets,
-            replacement: cfg.replacement,
-            clock: 0,
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    fn set_index(&self, addr: u64) -> usize {
-        ((addr / self.line_bytes) % self.sets.len() as u64) as usize
-    }
-
-    fn tag(&self, addr: u64) -> u64 {
-        addr / self.line_bytes / self.sets.len() as u64
-    }
-
-    fn probe(&self, addr: u64) -> bool {
-        let tag = self.tag(addr);
-        self.sets[self.set_index(addr)].iter().any(|l| l.valid && l.tag == tag)
-    }
-
-    /// Mirrors `Cache::touch`: returns whether the access hit.
-    fn touch(&mut self, addr: u64) -> bool {
-        self.clock += 1;
-        let clock = self.clock;
-        let tag = self.tag(addr);
-        let idx = self.set_index(addr);
-        let replacement = self.replacement;
-        let set = &mut self.sets[idx];
-        if let Some(line) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
-            if replacement == Replacement::Lru {
-                line.stamp = clock;
-            }
-            self.hits += 1;
-            return true;
-        }
-        let victim = if let Some(pos) = set.iter().position(|l| !l.valid) {
-            pos
-        } else {
-            match replacement {
-                Replacement::Lru | Replacement::Fifo => {
-                    set.iter().enumerate().min_by_key(|(_, l)| l.stamp).map(|(i, _)| i).unwrap_or(0)
-                }
-                Replacement::Random => {
-                    let mut x = clock.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    (x % set.len() as u64) as usize
-                }
-            }
-        };
-        set[victim] = ModelLine { tag, valid: true, stamp: clock };
-        self.misses += 1;
-        false
-    }
-
-    /// Replacement-normalised state: tags, validity, and the *relative*
-    /// stamp order per set. Two caches with equal fingerprints behave
-    /// identically on any future access sequence under LRU/FIFO (victim
-    /// choice depends only on stamp order within a set), so a repeated
-    /// fingerprint at an iteration boundary proves the outcome vector
-    /// periodic. Random replacement keys off the absolute access count
-    /// and is excluded from cycle detection by the caller.
-    fn fingerprint(&self) -> Fingerprint {
-        self.sets
-            .iter()
-            .map(|set| {
-                let mut order: Vec<usize> = (0..set.len()).collect();
-                order.sort_by_key(|&i| (set[i].stamp, i));
-                let mut rank = vec![0usize; set.len()];
-                for (r, &i) in order.iter().enumerate() {
-                    rank[i] = r;
-                }
-                set.iter().enumerate().map(|(i, l)| (l.tag, l.valid, rank[i])).collect()
-            })
-            .collect()
-    }
 }
 
 /// One access site in the per-iteration stream.
@@ -321,14 +210,35 @@ pub fn classify_accesses(program: &Program, cfg: &MachineConfig, core: CoreId) -
         };
     }
 
-    let mut il1 = ModelCache::new(&cfg.il1);
-    let mut dl1 = ModelCache::new(&cfg.dl1);
-    let mut l2 = ModelCache::new(&cfg.l2.partition(cfg.num_cores));
+    let l2_cfg = cfg.l2.partition(cfg.num_cores);
+    // A geometry the simulator refuses has nothing to replay on.
+    if cfg.il1.validate("il1").is_err()
+        || cfg.dl1.validate("dl1").is_err()
+        || l2_cfg.validate("l2").is_err()
+    {
+        return envelope_classes(program, cfg, 0, [ReplayStats::default(); 3]);
+    }
+    let mut il1 = Cache::new(cfg.il1);
+    let mut dl1 = Cache::new(cfg.dl1);
+    let mut l2 = Cache::new(l2_cfg);
     // Random replacement keys off the absolute access counter, so a
     // repeated normalised state does not imply repeated behaviour.
-    let cyclable = il1.replacement != Replacement::Random
-        && dl1.replacement != Replacement::Random
-        && l2.replacement != Replacement::Random;
+    let cyclable = [cfg.il1, cfg.dl1, l2_cfg].iter().all(|c| c.replacement != Replacement::Random);
+    // Only the sets the stream maps to ever change, and every other set
+    // stays cold: their signatures stand for the whole caches.
+    let touched = |cache: &Cache, kinds: &[SiteKind]| {
+        let mut sets: Vec<usize> = stream
+            .iter()
+            .filter(|s| kinds.contains(&s.kind))
+            .map(|s| cache.set_of(s.addr))
+            .collect();
+        sets.sort_unstable();
+        sets.dedup();
+        sets
+    };
+    let il1_sets = touched(&il1, &[SiteKind::Ifetch]);
+    let dl1_sets = touched(&dl1, &[SiteKind::Load, SiteKind::Store]);
+    let l2_sets = touched(&l2, &[SiteKind::Ifetch, SiteKind::Load, SiteKind::Store]);
 
     let target = match program.iterations() {
         Iterations::Finite(n) => n.min(MAX_REPLAY_ITERS),
@@ -337,7 +247,7 @@ pub fn classify_accesses(program: &Program, cfg: &MachineConfig, core: CoreId) -
     let fully_replayed = matches!(program.iterations(), Iterations::Finite(n) if n <= target);
 
     let mut outcomes: Vec<Vec<Outcome>> = Vec::new();
-    let mut fingerprints: Vec<(Fingerprint, Fingerprint, Fingerprint)> = Vec::new();
+    let mut signatures: Vec<Vec<u64>> = Vec::new();
     // `cycle = Some(j)` means the state after iteration `j` equals the
     // state after the last replayed iteration: iterations `j+1..` repeat.
     let mut cycle: Option<usize> = None;
@@ -347,15 +257,10 @@ pub fn classify_accesses(program: &Program, cfg: &MachineConfig, core: CoreId) -
         let mut iter_outcomes = Vec::with_capacity(stream.len());
         for site in &stream {
             let outcome = match site.kind {
-                SiteKind::Ifetch => {
-                    let hit = il1.touch(site.addr);
-                    let l2_out = if hit { None } else { Some(l2.touch(site.addr)) };
-                    Outcome { l1_hit: hit, l2: l2_out }
-                }
-                SiteKind::Load => {
-                    let hit = dl1.touch(site.addr);
-                    let l2_out = if hit { None } else { Some(l2.touch(site.addr)) };
-                    Outcome { l1_hit: hit, l2: l2_out }
+                SiteKind::Ifetch | SiteKind::Load => {
+                    let l1 = if site.kind == SiteKind::Ifetch { &mut il1 } else { &mut dl1 };
+                    let hit = l1.touch(site.addr) == Access::Hit;
+                    Outcome { l1_hit: hit, l2: (!hit).then(|| l2.touch(site.addr) == Access::Hit) }
                 }
                 SiteKind::Store => {
                     // Write-no-allocate: probe, refresh on a hit, and the
@@ -364,7 +269,7 @@ pub fn classify_accesses(program: &Program, cfg: &MachineConfig, core: CoreId) -
                     if hit {
                         dl1.touch(site.addr);
                     }
-                    Outcome { l1_hit: hit, l2: Some(l2.touch(site.addr)) }
+                    Outcome { l1_hit: hit, l2: Some(l2.touch(site.addr) == Access::Hit) }
                 }
             };
             iter_outcomes.push(outcome);
@@ -372,46 +277,21 @@ pub fn classify_accesses(program: &Program, cfg: &MachineConfig, core: CoreId) -
         outcomes.push(iter_outcomes);
         replayed += 1;
         if cyclable && !fully_replayed {
-            let fp = (il1.fingerprint(), dl1.fingerprint(), l2.fingerprint());
-            if let Some(j) = fingerprints.iter().position(|f| *f == fp) {
+            let mut sig = Vec::new();
+            il1.rank_signature(&il1_sets, &mut sig);
+            dl1.rank_signature(&dl1_sets, &mut sig);
+            l2.rank_signature(&l2_sets, &mut sig);
+            if let Some(j) = signatures.iter().position(|s| *s == sig) {
                 cycle = Some(j);
                 break;
             }
-            fingerprints.push(fp);
+            signatures.push(sig);
         }
     }
 
-    let converged = fully_replayed || cycle.is_some();
-    if !converged {
-        // Unconverged replay: every verdict is Unknown and the demand is
-        // the classic envelope (the caller falls back to
-        // `profile_program` for the counts).
-        let envelope = profile_program(program, cfg);
-        let loads = body.iter().filter(|i| matches!(i, Instr::Load(_))).count() as u64;
-        let stores = body.iter().filter(|i| matches!(i, Instr::Store(_))).count() as u64;
-        return AccessClasses {
-            il1: LevelClasses { unknown: body.len() as u64, ..LevelClasses::default() },
-            dl1: LevelClasses { unknown: loads, ..LevelClasses::default() },
-            l2: LevelClasses {
-                unknown: (body.len() as u64) + loads + stores,
-                ..LevelClasses::default()
-            },
-            steady_bus_per_iter: loads
-                .saturating_mul(2)
-                .saturating_add(stores)
-                .saturating_add((body.len() as u64).saturating_mul(2)),
-            steady_mc_per_iter: loads.saturating_add(body.len() as u64),
-            prefix_bus: 0,
-            prefix_mc: 0,
-            min_gap: envelope.min_gap,
-            converged: false,
-            iterations_replayed: replayed,
-            prefix_iterations: 0,
-            fully_replayed: false,
-            il1_replay: ReplayStats { hits: il1.hits, misses: il1.misses },
-            dl1_replay: ReplayStats { hits: dl1.hits, misses: dl1.misses },
-            l2_replay: ReplayStats { hits: l2.hits, misses: l2.misses },
-        };
+    let replay = [il1.stats(), dl1.stats(), l2.stats()];
+    if !fully_replayed && cycle.is_none() {
+        return envelope_classes(program, cfg, replayed, replay);
     }
 
     // The steady window: the proven-periodic iterations (after the cycle
@@ -528,9 +408,47 @@ pub fn classify_accesses(program: &Program, cfg: &MachineConfig, core: CoreId) -
         iterations_replayed: replayed,
         prefix_iterations: steady_start as u64,
         fully_replayed,
-        il1_replay: ReplayStats { hits: il1.hits, misses: il1.misses },
-        dl1_replay: ReplayStats { hits: dl1.hits, misses: dl1.misses },
-        l2_replay: ReplayStats { hits: l2.hits, misses: l2.misses },
+        il1_replay: replay[0],
+        dl1_replay: replay[1],
+        l2_replay: replay[2],
+    }
+}
+
+/// The unconverged result: every verdict `Unknown` and the demand of the
+/// classic envelope (callers fall back to [`profile_program`] for the
+/// counts). `replay` holds the IL1, DL1 and L2 totals of what was replayed.
+fn envelope_classes(
+    program: &Program,
+    cfg: &MachineConfig,
+    replayed: u64,
+    replay: [ReplayStats; 3],
+) -> AccessClasses {
+    let body = program.body();
+    let envelope = profile_program(program, cfg);
+    let loads = body.iter().filter(|i| matches!(i, Instr::Load(_))).count() as u64;
+    let stores = body.iter().filter(|i| matches!(i, Instr::Store(_))).count() as u64;
+    AccessClasses {
+        il1: LevelClasses { unknown: body.len() as u64, ..LevelClasses::default() },
+        dl1: LevelClasses { unknown: loads, ..LevelClasses::default() },
+        l2: LevelClasses {
+            unknown: (body.len() as u64) + loads + stores,
+            ..LevelClasses::default()
+        },
+        steady_bus_per_iter: loads
+            .saturating_mul(2)
+            .saturating_add(stores)
+            .saturating_add((body.len() as u64).saturating_mul(2)),
+        steady_mc_per_iter: loads.saturating_add(body.len() as u64),
+        prefix_bus: 0,
+        prefix_mc: 0,
+        min_gap: envelope.min_gap,
+        converged: false,
+        iterations_replayed: replayed,
+        prefix_iterations: 0,
+        fully_replayed: false,
+        il1_replay: replay[0],
+        dl1_replay: replay[1],
+        l2_replay: replay[2],
     }
 }
 
@@ -681,7 +599,7 @@ mod tests {
 
     #[test]
     fn replay_matches_machine_dl1_stats_exactly_on_a_finite_load_loop() {
-        // The strongest pin: a fully replayed finite program's model DL1
+        // The strongest pin: a fully replayed finite program's DL1 totals
         // must agree with the cycle-accurate machine's DL1 counters.
         let cfg = toy();
         let stride = cfg.dl1.sets() * cfg.dl1.line_bytes;
@@ -690,21 +608,44 @@ mod tests {
             b = b.load(i * stride); // same-set thrash, the rsk shape
         }
         let prog = b.branch().iterations(20).build();
-
-        let mut dl1 = ModelCache::new(&cfg.dl1);
-        for _ in 0..20 {
-            for instr in prog.body() {
-                if let Instr::Load(a) = instr {
-                    dl1.touch(*a);
-                }
-            }
-        }
+        let dl1 = classify_accesses(&prog, &cfg, CoreId::new(0)).dl1_replay;
 
         let mut m = Machine::new(cfg.clone()).expect("config");
         m.load_program(CoreId::new(0), prog);
         m.run().expect("run");
         let stats = m.dl1_stats(CoreId::new(0));
         assert_eq!((dl1.hits, dl1.misses), (stats.hits, stats.misses));
+    }
+
+    /// An invalid cache geometry yields the unconverged envelope instead
+    /// of a replay.
+    fn assert_envelope(cfg: &MachineConfig) {
+        let prog =
+            ProgramBuilder::new().load(0x100).store(0x200).nops(2).branch().endless().build();
+        let c = classify_accesses(&prog, cfg, CoreId::new(0));
+        assert!(!c.converged, "{c:?}");
+        assert_eq!(c.iterations_replayed, 0);
+        assert_eq!((c.il1.unknown, c.dl1.unknown, c.l2.unknown), (5, 1, 7), "{c:?}");
+        assert_eq!(c.il1.always_hit + c.dl1.always_hit + c.l2.always_hit, 0);
+        assert_eq!(c.min_gap, profile_program(&prog, cfg).min_gap);
+        assert_eq!(classified_profile(&prog, cfg, CoreId::new(0)), profile_program(&prog, cfg));
+    }
+
+    #[test]
+    fn zero_way_cache_falls_back_to_the_envelope() {
+        let mut cfg = toy();
+        cfg.dl1.ways = 0;
+        assert_envelope(&cfg);
+    }
+
+    #[test]
+    fn non_multiple_cache_size_falls_back_to_the_envelope() {
+        let mut cfg = toy();
+        cfg.il1.size_bytes = 1000;
+        assert_envelope(&cfg);
+        let mut cfg = toy();
+        cfg.l2.size_bytes = 0;
+        assert_envelope(&cfg);
     }
 
     #[test]
